@@ -1,30 +1,64 @@
 #include "core/wire.hpp"
 
+#include <cassert>
 #include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define PINSIM_CRC_CLMUL 1
+#include <immintrin.h>
+#endif
 
 namespace pinsim::core {
 
 namespace {
 
+template <typename T>
+void store_le(std::byte* p, T v) noexcept {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    p[i] = static_cast<std::byte>(v >> (8 * i));
+  }
+}
+
+template <typename T>
+T load_le(const std::byte* p) noexcept {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v |= static_cast<T>(p[i]) << (8 * i);
+  }
+  return v;
+}
+
+/// Fills a frame sized once up front: fields are stored in place as
+/// little-endian values, bulk data with one memcpy, the CRC trailer last.
 class Writer {
  public:
-  explicit Writer(std::size_t reserve)
-      : out_(frame_buffers().acquire_reserved(reserve)) {}
+  explicit Writer(std::size_t size) : out_(frame_buffers().acquire(size)) {}
 
-  void u8(std::uint8_t v) { out_.push_back(static_cast<std::byte>(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u8(std::uint8_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
   void bytes(std::span<const std::byte> b) {
-    out_.insert(out_.end(), b.begin(), b.end());
+    if (!b.empty()) std::memcpy(out_.data() + pos_, b.data(), b.size());
+    pos_ += b.size();
   }
-  [[nodiscard]] std::vector<std::byte> take() { return std::move(out_); }
+  /// Stores the CRC-32 of everything before it as the trailer. At the end
+  /// (not the front) so the dst_ep byte keeps its fixed offset for NIC flow
+  /// steering.
+  [[nodiscard]] std::vector<std::byte> finish() {
+    assert(pos_ + kChecksumBytes == out_.size());
+    u32(frame_checksum({out_.data(), pos_}));
+    return std::move(out_);
+  }
 
  private:
+  template <typename T>
+  void put(T v) {
+    store_le(out_.data() + pos_, v);
+    pos_ += sizeof(T);
+  }
+
   std::vector<std::byte> out_;
+  std::size_t pos_ = 0;
 };
 
 class Reader {
@@ -35,22 +69,8 @@ class Reader {
     need(1);
     return static_cast<std::uint8_t>(in_[pos_++]);
   }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(in_[pos_++]) << (8 * i);
-    }
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(in_[pos_++]) << (8 * i);
-    }
-    return v;
-  }
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
   std::vector<std::byte> rest() {
     std::vector<std::byte> out(in_.begin() + static_cast<std::ptrdiff_t>(pos_),
                                in_.end());
@@ -74,6 +94,13 @@ class Reader {
   void need(std::size_t n) const {
     if (pos_ + n > in_.size()) throw WireFormatError("truncated packet");
   }
+  template <typename T>
+  T get() {
+    need(sizeof(T));
+    const T v = load_le<T>(in_.data() + pos_);
+    pos_ += sizeof(T);
+    return v;
+  }
   std::span<const std::byte> in_;
   std::size_t pos_ = 0;
 };
@@ -87,30 +114,148 @@ PacketType body_type(const PacketBody& b) noexcept {
   return static_cast<PacketType>(b.index() + 1);
 }
 
-struct Crc32Table {
-  constexpr Crc32Table() {
+// Reflected IEEE 802.3 polynomial; init and xorout are 0xffffffff.
+constexpr std::uint32_t kCrcPoly = 0xedb88320u;
+
+/// Slicing-by-8 tables: t[0] is the classic byte-at-a-time table and
+/// t[k][b] is t[k-1][b] advanced over one more zero byte, so one step
+/// consumes eight input bytes with eight independent lookups.
+struct Crc32Tables {
+  constexpr Crc32Tables() {
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? kCrcPoly ^ (c >> 1) : c >> 1;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::size_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
       }
-      entries[i] = c;
     }
   }
-  std::uint32_t entries[256] = {};
+  std::uint32_t t[8][256] = {};
 };
 
-constexpr Crc32Table kCrc32;
+constexpr Crc32Tables kCrc32;
+
+/// Advances the raw CRC register `crc` (no init/xorout) over `n` bytes.
+std::uint32_t crc32_table(std::uint32_t crc, const std::byte* p,
+                          std::size_t n) noexcept {
+  const auto& t = kCrc32.t;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le<std::uint32_t>(p) ^ crc;
+    const std::uint32_t hi = load_le<std::uint32_t>(p + 4);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ static_cast<std::uint8_t>(*p)) & 0xffu] ^ (crc >> 8);
+  }
+  return crc;
+}
+
+#if PINSIM_CRC_CLMUL
+
+/// Carry-less multiplies the low and high halves of a 128-bit lane by the
+/// two halves of `k` and adds them: moves the lane forward by the distance
+/// the constant pair encodes.
+__attribute__((target("pclmul,sse4.1"))) inline __m128i fold(
+    __m128i x, __m128i k) noexcept {
+  return _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                       _mm_clmulepi64_si128(x, k, 0x11));
+}
+
+inline __m128i load128(const std::byte* p) noexcept {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// Advances the raw CRC register over `n` bytes (n >= 64, n % 16 == 0) by
+/// PCLMULQDQ folding: four 128-bit lanes fold 64 B per step, collapse into
+/// one lane that folds 16 B per step, then reduce 128 -> 64 -> 32 bits,
+/// the last step a Barrett reduction. This is the bit-reflected scheme of
+/// Gopal et al., "Fast CRC Computation for Generic Polynomials Using
+/// PCLMULQDQ Instruction" (Intel, 2009); the constants are that paper's
+/// x^k mod P values and floor(x^64 / P) for the IEEE polynomial.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_fold(
+    std::uint32_t crc, const std::byte* p, std::size_t n) noexcept {
+  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+  const __m128i poly_mu = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+
+  __m128i x1 =
+      _mm_xor_si128(load128(p), _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x2 = load128(p + 16);
+  __m128i x3 = load128(p + 32);
+  __m128i x4 = load128(p + 48);
+  for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+    x1 = _mm_xor_si128(fold(x1, k1k2), load128(p));
+    x2 = _mm_xor_si128(fold(x2, k1k2), load128(p + 16));
+    x3 = _mm_xor_si128(fold(x3, k1k2), load128(p + 32));
+    x4 = _mm_xor_si128(fold(x4, k1k2), load128(p + 48));
+  }
+  x1 = _mm_xor_si128(fold(x1, k3k4), x2);
+  x1 = _mm_xor_si128(fold(x1, k3k4), x3);
+  x1 = _mm_xor_si128(fold(x1, k3k4), x4);
+  for (; n >= 16; p += 16, n -= 16) {
+    x1 = _mm_xor_si128(fold(x1, k3k4), load128(p));
+  }
+
+  // 128 -> 64 bits.
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                     _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  // 64 -> 32 bits.
+  x1 = _mm_xor_si128(_mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00),
+                     _mm_srli_si128(x1, 4));
+  // Barrett reduction to the 32-bit remainder.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly_mu, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly_mu, 0x00);
+  return static_cast<std::uint32_t>(
+      _mm_extract_epi32(_mm_xor_si128(x1, t), 1));
+}
+
+#endif  // PINSIM_CRC_CLMUL
 
 }  // namespace
 
-std::uint32_t frame_checksum(std::span<const std::byte> bytes) noexcept {
+namespace detail {
+
+std::uint32_t crc32_portable(std::span<const std::byte> bytes) noexcept {
+  return crc32_table(0xffffffffu, bytes.data(), bytes.size()) ^ 0xffffffffu;
+}
+
+std::uint32_t crc32_clmul(std::span<const std::byte> bytes) noexcept {
   std::uint32_t crc = 0xffffffffu;
-  for (const std::byte b : bytes) {
-    crc = kCrc32.entries[(crc ^ static_cast<std::uint8_t>(b)) & 0xffu] ^
-          (crc >> 8);
+  const std::byte* p = bytes.data();
+  std::size_t n = bytes.size();
+#if PINSIM_CRC_CLMUL
+  if (n >= 64) {
+    const std::size_t folded = n & ~std::size_t{15};
+    crc = crc32_fold(crc, p, folded);
+    p += folded;
+    n -= folded;
   }
-  return crc ^ 0xffffffffu;
+#endif
+  return crc32_table(crc, p, n) ^ 0xffffffffu;
+}
+
+bool has_clmul() noexcept {
+#if PINSIM_CRC_CLMUL
+  return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+#else
+  return false;
+#endif
+}
+
+}  // namespace detail
+
+std::uint32_t frame_checksum(std::span<const std::byte> bytes) noexcept {
+  // Probed once per process. Both paths return bit-identical checksums, so
+  // the choice never shows in any output.
+  static const bool clmul = detail::has_clmul();
+  return clmul ? detail::crc32_clmul(bytes) : detail::crc32_portable(bytes);
 }
 
 const char* packet_type_name(PacketType t) noexcept {
@@ -207,14 +352,7 @@ std::vector<std::byte> encode(const Packet& p) {
         }
       },
       p.body);
-  std::vector<std::byte> out = w.take();
-  // Trailing CRC-32 over everything before it. At the end (not the front) so
-  // the dst_ep byte keeps its fixed offset for NIC flow steering.
-  const std::uint32_t crc = frame_checksum(out);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>(crc >> (8 * i)));
-  }
-  return out;
+  return w.finish();
 }
 
 namespace {
@@ -229,10 +367,7 @@ Packet decode_impl(std::span<const std::byte> bytes,
   }
   const std::span<const std::byte> body =
       bytes.first(bytes.size() - kChecksumBytes);
-  std::uint32_t stored = 0;
-  for (std::size_t i = 0; i < kChecksumBytes; ++i) {
-    stored |= static_cast<std::uint32_t>(bytes[body.size() + i]) << (8 * i);
-  }
+  const auto stored = load_le<std::uint32_t>(bytes.data() + body.size());
   if (frame_checksum(body) != stored) throw WireChecksumError();
 
   // Takes the trailing data bytes: adopting the owning vector when there is

@@ -298,6 +298,25 @@ inline constexpr std::size_t kChecksumBytes = 4;
 [[nodiscard]] std::uint32_t frame_checksum(
     std::span<const std::byte> bytes) noexcept;
 
+namespace detail {
+
+/// The two implementations behind frame_checksum(), which picks one once per
+/// process. Both return the same CRC-32 for every input (the wire test
+/// checks them against a bitwise reference); they are exposed for that test
+/// only, not as a switch.
+///
+/// Slicing-by-8 table lookup; runs on every host.
+[[nodiscard]] std::uint32_t crc32_portable(
+    std::span<const std::byte> bytes) noexcept;
+/// PCLMULQDQ folding of the 16-byte multiple of inputs of 64 B or more,
+/// table lookup for the rest. Call only when has_clmul() is true.
+[[nodiscard]] std::uint32_t crc32_clmul(
+    std::span<const std::byte> bytes) noexcept;
+/// Whether this CPU has PCLMULQDQ and SSE4.1 (always false off x86-64).
+[[nodiscard]] bool has_clmul() noexcept;
+
+}  // namespace detail
+
 /// Serializes a packet (header + body + payload + trailing CRC-32) into
 /// frame payload bytes. The header's `type` field is taken from the body
 /// alternative.

@@ -13,7 +13,9 @@ std::string InvalidAddressError::to_hex(VirtAddr a) {
 }
 
 PhysicalMemory::PhysicalMemory(std::size_t num_frames)
-    : bytes_(num_frames * kPageSize), refcounts_(num_frames, 0) {
+    : bytes_(std::make_unique_for_overwrite<std::byte[]>(num_frames *
+                                                          kPageSize)),
+      refcounts_(num_frames, 0) {
   free_list_.reserve(num_frames);
   // Hand out low frame ids first (pop from the back).
   for (std::size_t i = num_frames; i-- > 0;) {
@@ -54,12 +56,12 @@ std::uint32_t PhysicalMemory::refcount(FrameId f) const {
 
 std::span<std::byte> PhysicalMemory::data(FrameId f) {
   check_live(f);
-  return std::span<std::byte>(bytes_.data() + f * kPageSize, kPageSize);
+  return std::span<std::byte>(bytes_.get() + f * kPageSize, kPageSize);
 }
 
 std::span<const std::byte> PhysicalMemory::data(FrameId f) const {
   check_live(f);
-  return std::span<const std::byte>(bytes_.data() + f * kPageSize, kPageSize);
+  return std::span<const std::byte>(bytes_.get() + f * kPageSize, kPageSize);
 }
 
 void PhysicalMemory::account_pin(std::int64_t delta) {

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -100,7 +101,10 @@ class PhysicalMemory {
  private:
   void check_live(FrameId f) const;
 
-  std::vector<std::byte> bytes_;
+  // Left uninitialized at construction, so host pages are only faulted in
+  // once a frame is used: alloc() zeroes each frame as it hands it out, and
+  // data()'s liveness check keeps unallocated bytes out of reach.
+  std::unique_ptr<std::byte[]> bytes_;
   std::vector<std::uint32_t> refcounts_;  // 0 == free
   std::vector<FrameId> free_list_;
   std::size_t pinned_pages_ = 0;

@@ -218,6 +218,58 @@ TEST(Wire, ChecksumIsDeterministicAndContentSensitive) {
   EXPECT_EQ(frame_checksum(v), 0xcbf43926u);
 }
 
+// Bit-at-a-time CRC-32 (IEEE, reflected, init and xorout 0xffffffff): the
+// reference both fast paths must reproduce exactly.
+std::uint32_t crc32_bitwise(std::span<const std::byte> bytes) {
+  std::uint32_t crc = 0xffffffffu;
+  for (const std::byte b : bytes) {
+    crc ^= static_cast<std::uint8_t>(b);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+std::vector<std::byte> noise(std::size_t n, std::uint64_t seed) {
+  std::vector<std::byte> v(n);
+  std::uint64_t x = seed;
+  for (auto& b : v) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<std::byte>(x >> 32);
+  }
+  return v;
+}
+
+// Every length 0..1100 at every offset 0..15 (so the folding path sees each
+// alignment, each tail length, and both sides of its 64 B threshold), plus
+// two large frames with odd lengths.
+void expect_matches_reference(
+    std::uint32_t (*crc)(std::span<const std::byte>) noexcept) {
+  const auto buf = noise(1100 + 16, 0x5eed);
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const std::span<const std::byte> s(buf.data() + off, len);
+      ASSERT_EQ(crc(s), crc32_bitwise(s)) << "offset " << off << " len " << len;
+    }
+  }
+  for (const std::size_t len : {std::size_t{8251}, std::size_t{65581}}) {
+    const auto big = noise(len, len);
+    ASSERT_EQ(crc(big), crc32_bitwise(big)) << "len " << len;
+  }
+}
+
+TEST(WireCrc, PortablePathMatchesBitwiseReference) {
+  expect_matches_reference(detail::crc32_portable);
+}
+
+TEST(WireCrc, ClmulPathMatchesBitwiseReference) {
+  if (!detail::has_clmul()) GTEST_SKIP() << "CPU lacks PCLMULQDQ/SSE4.1";
+  expect_matches_reference(detail::crc32_clmul);
+}
+
 TEST(Wire, ChecksumErrorIsDistinctFromFormatError) {
   Packet p;
   p.body = AbortBody{1};

@@ -163,6 +163,50 @@ TEST(MemExtra, PhysicalMemoryRefcountLifecycle) {
   for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(page[i], std::byte{0});
 }
 
+// The frame store is left uninitialized at construction, so alloc() is the
+// only thing that zeroes a frame. Both the first allocation of a frame and a
+// re-allocation after a full-page write must read as zero over the whole
+// page.
+TEST(MemExtra, EveryAllocationReadsAsAZeroPage) {
+  constexpr std::size_t kFrames = 8;
+  const auto expect_zero_page = [](std::span<const std::byte> page) {
+    ASSERT_EQ(page.size(), mem::kPageSize);
+    for (std::size_t i = 0; i < page.size(); ++i) {
+      ASSERT_EQ(page[i], std::byte{0}) << "byte " << i;
+    }
+  };
+  const auto dirty_all = [](mem::PhysicalMemory& pm) {
+    std::vector<mem::FrameId> frames;
+    for (std::size_t i = 0; i < kFrames; ++i) {
+      frames.push_back(pm.alloc());
+      auto page = pm.data(frames.back());
+      std::fill(page.begin(), page.end(), std::byte{0xa5});
+    }
+    for (const auto f : frames) pm.unref(f);
+  };
+
+  // A store freed with dirty pages makes it likely the next one of the same
+  // size reuses that heap block, so a missing zero-fill would show.
+  {
+    mem::PhysicalMemory dirty(kFrames);
+    dirty_all(dirty);
+  }
+  mem::PhysicalMemory pm(kFrames);
+  std::vector<mem::FrameId> first;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    first.push_back(pm.alloc());
+    expect_zero_page(pm.data(first.back()));
+  }
+  for (const auto f : first) pm.unref(f);
+  ASSERT_EQ(pm.used_frames(), 0u);
+
+  dirty_all(pm);
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    const auto f = pm.alloc();
+    expect_zero_page(pm.data(f));
+  }
+}
+
 TEST(MemExtra, IsMappedAcrossAdjacentVmas) {
   mem::PhysicalMemory pm(64);
   mem::AddressSpace as(pm);
