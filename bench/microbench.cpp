@@ -34,7 +34,7 @@ void BM_EngineScheduleDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineScheduleDispatch);
 
-/// Million-event scheduler torture: the timing-wheel acceptance workload.
+/// Million-event scheduler torture: the event queue's acceptance workload.
 /// Bursts of schedules over three horizons (most short like protocol RTOs,
 /// some medium like retry backoffs, a few far like soak deadlines), ~30%
 /// cancelled before firing, interleaved with bounded run_until windows —

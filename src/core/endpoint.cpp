@@ -24,8 +24,6 @@ struct EndpointNotifier final : mem::MmuNotifier {
   bool address_space_alive = true;
 };
 
-constexpr std::size_t kCompletedMemory = 8192;
-
 /// Shorthand for building a typed event at an emission site.
 obs::Event ev(obs::EventKind kind) {
   obs::Event e;
@@ -436,15 +434,9 @@ void Endpoint::on_peer_restarted(net::NodeId node, std::uint8_t peer_ep) {
   // the new incarnation reuses seqs from 1, so stale "already completed"
   // records would silently swallow its messages. inbound_key packs node/ep
   // into disjoint bit ranges, so prefix filtering is exact.
-  const auto from_peer = [node, peer_ep](std::uint64_t key) {
+  completed_.erase_if([node, peer_ep](std::uint64_t key) {
     return (key >> 41) == node && ((key >> 33) & 0xff) == peer_ep;
-  };
-  std::vector<std::uint64_t> stale;
-  for (std::uint64_t key : completed_) {
-    if (from_peer(key)) stale.push_back(key);
-  }
-  for (std::uint64_t key : stale) completed_.erase(key);
-  std::erase_if(completed_fifo_, from_peer);
+  });
 }
 
 // --- receive posting -----------------------------------------------------------
@@ -1452,15 +1444,10 @@ void Endpoint::send_packet(EndpointAddr dest, PacketBody body,
 
 void Endpoint::remember_completed(std::uint64_t key) {
   completed_.insert(key);
-  completed_fifo_.push_back(key);
-  while (completed_fifo_.size() > kCompletedMemory) {
-    completed_.erase(completed_fifo_.front());
-    completed_fifo_.pop_front();
-  }
 }
 
 bool Endpoint::is_completed(std::uint64_t key) const {
-  return completed_.count(key) != 0;
+  return completed_.contains(key);
 }
 
 std::uint64_t Endpoint::inbound_key(net::NodeId node, std::uint8_t ep,

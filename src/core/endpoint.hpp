@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <list>
 #include <memory>
@@ -23,6 +22,7 @@
 #include "obs/event.hpp"
 #include "sim/engine.hpp"
 #include "sim/flat_map.hpp"
+#include "sim/recent_set.hpp"
 
 namespace pinsim::core {
 
@@ -394,8 +394,9 @@ class Endpoint {
   sim::FlatMap<std::uint32_t, mem::ObjectPool<PullState>::Ptr> pulls_;
   std::uint32_t next_pull_handle_ = 1;
 
-  sim::FlatSet<std::uint64_t> completed_;
-  std::deque<std::uint64_t> completed_fifo_;
+  /// Duplicate-suppression memory: the inbound_keys of the last 8,192
+  /// completed inbound messages, whatever flow they came on.
+  sim::RecentSet<8192> completed_;
   sim::FlatSet<std::uint64_t> pending_pull_retries_;  // sender fast-retry polls
 };
 

@@ -1,242 +1,131 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
-#include <limits>
 
 namespace pinsim::sim {
 
 namespace {
 
-/// Wheel level for an event at `when` filed relative to base time `base`.
-/// Levels index successive 6-bit fields of the absolute timestamp, so the
-/// level is determined by the highest bit in which `when` and `base`
-/// differ. Requires `when > base`.
-inline int level_for(Time when, Time base) noexcept {
-  const std::uint64_t diff = when ^ base;
-  return (63 - std::countl_zero(diff)) / 6;
+constexpr std::size_t kArity = 4;
+
+constexpr std::size_t parent_of(std::size_t pos) noexcept {
+  return (pos - 1) / kArity;
 }
 
 }  // namespace
 
 std::uint32_t Engine::alloc_node() {
   if (free_head_ != kNil) {
-    const std::uint32_t idx = free_head_;
-    free_head_ = slab_[idx].next;
+    const std::uint32_t slot = free_head_;
+    free_head_ = slab_[slot].pos;
     --free_count_;
-    return idx;
+    return slot;
   }
   slab_.emplace_back();
   return static_cast<std::uint32_t>(slab_.size() - 1);
 }
 
-void Engine::free_node(std::uint32_t idx) {
-  Node& n = slab_[idx];
-  n.seq = 0;  // invalidate outstanding EventIds / due entries for this slot
-  n.where = Where::kFree;
-  n.prev = kNil;
-  n.next = free_head_;
-  free_head_ = idx;
+void Engine::free_node(std::uint32_t slot) {
+  Node& n = slab_[slot];
+  n.seq = 0;  // invalidate outstanding EventIds for this slot
+  n.pos = free_head_;
+  free_head_ = slot;
   ++free_count_;
 }
 
-void Engine::file_node(std::uint32_t idx) {
-  Node& n = slab_[idx];
-  assert(n.when >= now_ && "filing an event into the past");
-  if (n.when == now_) {
-    n.where = Where::kDue;
-    due_.emplace_back(idx, n.seq);
-    return;
-  }
-  const int lvl = level_for(n.when, now_);
-  const int b =
-      static_cast<int>((n.when >> (kLevelBits * lvl)) & (kBucketsPerLevel - 1));
-  n.level = static_cast<std::uint16_t>(lvl);
-  n.bucket = static_cast<std::uint16_t>(b);
-  n.where = Where::kWheel;
-  Bucket& bk = wheel_[lvl][b];
-  n.prev = bk.tail;
-  n.next = kNil;
-  if (bk.tail != kNil) {
-    slab_[bk.tail].next = idx;
-  } else {
-    bk.head = idx;
-  }
-  bk.tail = idx;
-  occupied_[lvl] |= std::uint64_t{1} << b;
+void Engine::place(std::size_t pos, const Entry& e) {
+  heap_[pos] = e;
+  slab_[e.slot].pos = static_cast<std::uint32_t>(pos);
 }
 
-void Engine::bucket_unlink(std::uint32_t idx) {
-  Node& n = slab_[idx];
-  Bucket& bk = wheel_[n.level][n.bucket];
-  if (n.prev != kNil) {
-    slab_[n.prev].next = n.next;
-  } else {
-    bk.head = n.next;
+void Engine::sift_up(std::size_t pos, Entry e) {
+  while (pos > 0) {
+    const std::size_t parent = parent_of(pos);
+    if (!earlier(e, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
   }
-  if (n.next != kNil) {
-    slab_[n.next].prev = n.prev;
-  } else {
-    bk.tail = n.prev;
+  place(pos, e);
+}
+
+void Engine::sift_down(std::size_t pos, Entry e) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    const std::size_t first = pos * kArity + 1;
+    if (first >= n) break;
+    const std::size_t last = std::min(first + kArity, n);
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < last; ++c) {
+      if (earlier(heap_[c], heap_[best])) best = c;
+    }
+    if (!earlier(heap_[best], e)) break;
+    place(pos, heap_[best]);
+    pos = best;
   }
-  if (bk.head == kNil) {
-    occupied_[n.level] &= ~(std::uint64_t{1} << n.bucket);
+  place(pos, e);
+}
+
+void Engine::remove_at(std::size_t pos) {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;  // removed the last entry itself
+  if (pos > 0 && earlier(last, heap_[parent_of(pos)])) {
+    sift_up(pos, last);
+  } else {
+    sift_down(pos, last);
   }
 }
 
 Engine::EventId Engine::schedule_at(Time when, Callback cb, TaskTag tag) {
   assert(cb && "scheduling an empty callback");
   const std::uint64_t seq = next_seq_++;
-  const std::uint32_t idx = alloc_node();
-  Node& n = slab_[idx];
-  n.when = std::max(when, now_);
+  const std::uint32_t slot = alloc_node();
+  Node& n = slab_[slot];
   n.seq = seq;
   n.cb = std::move(cb);
   n.created = now_;
   n.tag = tag;
-  file_node(idx);
-  ++live_;
-  return EventId{seq, idx + 1};
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Entry{std::max(when, now_), seq, slot});
+  return EventId{seq, slot + 1};
 }
 
 bool Engine::cancel(EventId id) {
   if (!id.valid() || id.slot == 0 || id.slot > slab_.size()) return false;
-  const std::uint32_t idx = id.slot - 1;
-  Node& n = slab_[idx];
-  if (n.seq != id.seq || n.where == Where::kFree) return false;
-  if (n.where == Where::kWheel) bucket_unlink(idx);
-  // A node in the due batch is freed in place; its (idx, seq) entry fails
-  // the generation check at dispatch and is skipped.
+  const std::uint32_t slot = id.slot - 1;
+  Node& n = slab_[slot];
+  if (n.seq != id.seq) return false;  // fired, cancelled, or slot reused
+  remove_at(n.pos);
   n.cb = Callback{};
-  free_node(idx);
-  --live_;
+  free_node(slot);
   return true;
 }
 
-bool Engine::fire_one() {
-  while (due_cursor_ < due_.size()) {
-    const auto [idx, seq] = due_[due_cursor_++];
-    Node& n = slab_[idx];
-    if (n.where != Where::kDue || n.seq != seq) continue;  // cancelled
-    assert(n.when == now_ && "due batch out of sync with the clock");
-    Callback cb = std::move(n.cb);
-    const TaskTag tag = n.tag;
-    const Time created = n.created;
-    free_node(idx);
-    --live_;
-    ++processed_;
-    // Compact the batch before dispatch when this entry exhausted it, so
-    // same-time events scheduled by `cb` itself start a fresh batch instead
-    // of growing an already-consumed vector forever.
-    if (due_cursor_ == due_.size()) {
-      due_.clear();
-      due_cursor_ = 0;
-    }
-    if (observer_ != nullptr) {
-      observer_->on_dispatch_begin(tag, created, now_);
-      cb();
-      observer_->on_dispatch_end(tag);
-    } else {
-      cb();
-    }
-    return true;
-  }
-  due_.clear();
-  due_cursor_ = 0;
-  return false;
-}
-
-bool Engine::extract_next(Time limit) {
-  assert(due_cursor_ == due_.size() && "extracting with a live due batch");
-  for (;;) {
-    // Find the occupied bucket with the earliest possible event: per level,
-    // the lowest occupied bucket at or after now_'s own bucket (the filing
-    // invariant guarantees nothing sits behind it). Its window start is a
-    // lower bound on the timestamps it holds — exact at level 0.
-    int best_level = -1;
-    int best_bucket = 0;
-    Time best_time = 0;
-    for (int lvl = 0; lvl < kLevels; ++lvl) {
-      if (occupied_[lvl] == 0) continue;
-      const int shift = kLevelBits * lvl;
-      const int cur = static_cast<int>((now_ >> shift) & (kBucketsPerLevel - 1));
-      const std::uint64_t ahead =
-          occupied_[lvl] & ~((std::uint64_t{1} << cur) - 1);
-      assert(ahead == occupied_[lvl] && "wheel bucket behind the clock");
-      if (ahead == 0) continue;
-      const int b = std::countr_zero(ahead);
-      // Window start: now_'s bits above this level's field, the candidate
-      // bucket in the field, zeros below — clamped to now_ for the bucket
-      // now_ itself is in (its events differ only in lower bits).
-      Time wstart;
-      if (lvl >= kLevels - 1) {
-        wstart = static_cast<Time>(b) << shift;
-      } else {
-        const Time field_end_mask =
-            (Time{1} << (shift + kLevelBits)) - 1;  // bits below next level
-        wstart = (now_ & ~field_end_mask) | (static_cast<Time>(b) << shift);
-      }
-      if (wstart < now_) wstart = now_;
-      // Strict-or-equal replacement: on a window-start tie prefer the
-      // higher level, which may hold an equal-timestamp event with a lower
-      // seq that must cascade down before the batch is extracted.
-      if (best_level < 0 || wstart <= best_time) {
-        best_level = lvl;
-        best_bucket = b;
-        best_time = wstart;
-      }
-    }
-    if (best_level < 0) return false;     // wheel empty
-    if (best_time > limit) return false;  // nothing due at or before limit
-
-    // Advancing to the window start is safe: no event exists before it.
-    now_ = best_time;
-    Bucket& bk = wheel_[best_level][best_bucket];
-    std::uint32_t idx = bk.head;
-    bk.head = bk.tail = kNil;
-    occupied_[best_level] &= ~(std::uint64_t{1} << best_bucket);
-    if (best_level == 0) {
-      // Level-0 buckets hold exactly one timestamp: this is the batch.
-      // Cascades may have interleaved arrival order, so sort by seq to keep
-      // the (time, seq) dispatch order bit-exact.
-      const std::size_t start = due_.size();
-      while (idx != kNil) {
-        Node& n = slab_[idx];
-        assert(n.when == now_);
-        const std::uint32_t next = n.next;
-        n.where = Where::kDue;
-        n.prev = n.next = kNil;
-        due_.emplace_back(idx, n.seq);
-        idx = next;
-      }
-      std::sort(due_.begin() + static_cast<std::ptrdiff_t>(start), due_.end(),
-                [](const auto& a, const auto& b) { return a.second < b.second; });
-      return true;
-    }
-    // Higher level: cascade the bucket's nodes down (each re-files at a
-    // strictly lower level, or into the due batch when when == now_).
-    while (idx != kNil) {
-      const std::uint32_t next = slab_[idx].next;
-      file_node(idx);
-      idx = next;
-    }
-    if (due_cursor_ < due_.size()) {
-      // Cascade dropped equal-timestamp events straight into the batch.
-      std::sort(due_.begin() + static_cast<std::ptrdiff_t>(due_cursor_),
-                due_.end(),
-                [](const auto& a, const auto& b) { return a.second < b.second; });
-      return true;
-    }
+void Engine::fire_next() {
+  const Entry top = heap_.front();
+  remove_at(0);
+  assert(top.when >= now_ && "event queue ran behind the clock");
+  now_ = top.when;
+  Node& n = slab_[top.slot];
+  Callback cb = std::move(n.cb);
+  const TaskTag tag = n.tag;
+  const Time created = n.created;
+  free_node(top.slot);
+  ++processed_;
+  if (observer_ != nullptr) {
+    observer_->on_dispatch_begin(tag, created, now_);
+    cb();
+    observer_->on_dispatch_end(tag);
+  } else {
+    cb();
   }
 }
 
 bool Engine::step() {
-  if (fire_one()) return true;
-  if (!extract_next(std::numeric_limits<Time>::max())) return false;
-  const bool fired = fire_one();
-  assert(fired && "extract_next produced an empty batch");
-  return fired;
+  if (heap_.empty()) return false;
+  fire_next();
+  return true;
 }
 
 std::size_t Engine::run() {
@@ -249,12 +138,9 @@ std::size_t Engine::run() {
 std::size_t Engine::run_until(Time deadline) {
   std::size_t n = 0;
   stopped_ = false;
-  while (!stopped_) {
-    if (now_ <= deadline && fire_one()) {
-      ++n;
-      continue;
-    }
-    if (now_ > deadline || !extract_next(deadline)) break;
+  while (!stopped_ && !heap_.empty() && heap_.front().when <= deadline) {
+    fire_next();
+    ++n;
   }
   if (!stopped_ && now_ < deadline) now_ = deadline;
   return n;
@@ -265,57 +151,29 @@ bool Engine::self_check(std::string* why) const {
     if (why != nullptr) *why = what;
     return false;
   };
-  std::size_t wheel_nodes = 0;
-  for (int lvl = 0; lvl < kLevels; ++lvl) {
-    for (int b = 0; b < kBucketsPerLevel; ++b) {
-      const Bucket& bk = wheel_[lvl][b];
-      const bool marked = (occupied_[lvl] >> b) & 1;
-      if (marked != (bk.head != kNil)) {
-        return fail("occupancy bitmap disagrees with bucket list");
-      }
-      std::uint32_t prev = kNil;
-      for (std::uint32_t idx = bk.head; idx != kNil; idx = slab_[idx].next) {
-        const Node& node = slab_[idx];
-        if (node.where != Where::kWheel) return fail("wheel node not kWheel");
-        if (node.level != lvl || node.bucket != b) {
-          return fail("node filed in the wrong bucket");
-        }
-        if (node.prev != prev) return fail("bucket links corrupt");
-        if (node.seq == 0 || !node.cb) return fail("dead node in a bucket");
-        if (node.when <= now_) return fail("wheel node at or behind now()");
-        prev = idx;
-        ++wheel_nodes;
-      }
-      if (bk.tail != prev) return fail("bucket tail stale");
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    const Entry& e = heap_[i];
+    if (e.slot >= slab_.size()) return fail("heap entry out of slab range");
+    const Node& node = slab_[e.slot];
+    if (node.seq == 0 || !node.cb) return fail("dead node in the heap");
+    if (node.seq != e.seq) return fail("heap entry seq disagrees with node");
+    if (node.pos != i) return fail("node's stored heap position is stale");
+    if (e.when < now_) return fail("heap entry behind now()");
+    if (i > 0 && earlier(e, heap_[parent_of(i)])) {
+      return fail("heap order violated");
     }
   }
-  std::size_t due_nodes = 0;
-  for (std::size_t i = due_cursor_; i < due_.size(); ++i) {
-    const auto [idx, seq] = due_[i];
-    if (idx >= slab_.size()) return fail("due entry out of slab range");
-    const Node& node = slab_[idx];
-    if (node.where == Where::kDue && node.seq == seq) ++due_nodes;
-  }
-  std::size_t due_total = 0;
-  std::size_t free_listed = 0;
-  for (std::size_t i = 0; i < slab_.size(); ++i) {
-    if (slab_[i].where == Where::kDue) ++due_total;
-    if (slab_[i].where == Where::kFree) ++free_listed;
-  }
-  if (due_total != due_nodes) return fail("due node without a batch entry");
   std::size_t free_walk = 0;
-  for (std::uint32_t idx = free_head_; idx != kNil; idx = slab_[idx].next) {
-    if (slab_[idx].where != Where::kFree) return fail("live node on free list");
+  for (std::uint32_t slot = free_head_; slot != kNil; slot = slab_[slot].pos) {
+    if (slot >= slab_.size()) return fail("free list out of slab range");
+    if (slab_[slot].seq != 0) return fail("live node on free list");
     ++free_walk;
     if (free_walk > slab_.size()) return fail("free list cycle");
   }
-  if (free_walk != free_count_ || free_listed != free_count_) {
-    return fail("free-list accounting drifted");
-  }
-  if (wheel_nodes + due_nodes != live_) {
-    return fail("pending() disagrees with live queue occupancy");
-  }
-  if (wheel_nodes + due_nodes + free_count_ != slab_.size()) {
+  if (free_walk != free_count_) return fail("free-list accounting drifted");
+  // Every heap entry owns a distinct node (its stored position points back
+  // at it), so the two counts cover the slab exactly when nothing leaked.
+  if (heap_.size() + free_count_ != slab_.size()) {
     return fail("slab nodes leaked");
   }
   return true;

@@ -51,17 +51,12 @@ class DispatchObserver {
 /// interrupts, the Open-MX driver, MPI ranks) is a state machine or coroutine
 /// driven by these callbacks.
 ///
-/// Internally the queue is a hierarchical timing wheel (calendar queue):
-/// 11 levels of 64 buckets index successive 6-bit fields of the absolute
-/// timestamp, so schedule and cancel are O(1) and dispatch is amortized O(1)
-/// with occasional bucket cascades — no per-event heap churn and no hash-set
-/// membership tracking on the hot path. Events live in a slab of pooled
-/// nodes; an EventId carries the node's slot plus its generation-unique
-/// sequence number, so cancellation is one bounds check and one compare
-/// instead of a hash lookup. The (time, seq) total order of the former
-/// binary-heap scheduler is preserved bit-exactly: same-time events are
-/// dispatched in ascending sequence order regardless of which buckets they
-/// travelled through.
+/// Internally the queue is an indexed 4-ary min-heap of (when, seq, slot)
+/// entries over a slab of pooled nodes. Each node records its heap position,
+/// so cancellation is eager and O(log n); an EventId carries the node's slot
+/// plus its generation-unique sequence number, so cancellation needs no
+/// lookup structure. The heap pays off while queues stay shallow, as the
+/// simulator's do (2 to ~170 events pending on average, DESIGN §6f).
 class Engine {
  public:
   using Callback = UniqueFunction;
@@ -101,9 +96,10 @@ class Engine {
   }
 
   /// Cancels a pending event. Returns false if it already fired, was already
-  /// cancelled, or `id` is invalid. Cancellation is O(1) and eager: the node
-  /// is unlinked and recycled immediately, so `pending()` always equals live
-  /// queue occupancy (no lazily-dead entries linger).
+  /// cancelled, or `id` is invalid. Cancellation is eager, O(log n): the
+  /// entry leaves the heap and its node is recycled immediately, so
+  /// `pending()` always equals live queue occupancy (no lazily-dead entries
+  /// linger).
   bool cancel(EventId id);
 
   /// Runs the single next event. Returns false if the queue is empty.
@@ -128,14 +124,14 @@ class Engine {
   void clear_stop() noexcept { stopped_ = false; }
 
   /// Number of live (non-cancelled) pending events.
-  [[nodiscard]] std::size_t pending() const noexcept { return live_; }
+  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
 
   /// Total events executed since construction.
   [[nodiscard]] std::uint64_t processed() const noexcept { return processed_; }
 
-  /// Exhaustive accounting audit for tests: walks the wheel, the due batch
-  /// and the slab free list and cross-checks them against `pending()` and
-  /// the occupancy bitmaps. Returns true when consistent; otherwise fills
+  /// Exhaustive accounting audit for tests: checks the heap order, every
+  /// node's stored heap position and the slab free list against
+  /// `pending()`. Returns true when consistent; otherwise fills
   /// `why` (if non-null) with the first discrepancy. O(slab size) — not for
   /// hot paths.
   [[nodiscard]] bool self_check(std::string* why = nullptr) const;
@@ -153,61 +149,42 @@ class Engine {
   void rethrow_task_failures() const;
 
  private:
-  static constexpr int kLevelBits = 6;
-  static constexpr int kBucketsPerLevel = 1 << kLevelBits;  // 64
-  /// 11 levels x 6 bits = 66 bits: every representable timestamp delta maps
-  /// to some level, so there is no separate overflow list.
-  static constexpr int kLevels = 11;
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
-  /// Where a slab node currently lives.
-  enum class Where : std::uint8_t {
-    kFree = 0,   // on the free list
-    kWheel = 1,  // linked into a wheel bucket
-    kDue = 2,    // extracted into the due batch, awaiting dispatch
+  /// Heap entry: the (when, seq) order key plus the node it schedules.
+  struct Entry {
+    Time when = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
   };
 
   struct Node {
-    Time when = 0;
-    std::uint64_t seq = 0;  // generation tag; 0 = never scheduled/freed
     Callback cb;
     Time created = 0;  // now() at the schedule call (observer lag metric)
     TaskTag tag;       // schedule-site identity for dispatch observers
-    std::uint32_t prev = kNil;  // intrusive list links within a bucket
-    std::uint32_t next = kNil;  // (free-list chaining reuses `next`)
-    std::uint16_t level = 0;
-    std::uint16_t bucket = 0;
-    Where where = Where::kFree;
+    std::uint64_t seq = 0;  // generation tag; 0 = free
+    std::uint32_t pos = kNil;  // heap index; next free slot while free
   };
 
-  struct Bucket {
-    std::uint32_t head = kNil;
-    std::uint32_t tail = kNil;
-  };
+  [[nodiscard]] static bool earlier(const Entry& a, const Entry& b) noexcept {
+    return a.when < b.when || (a.when == b.when && a.seq < b.seq);
+  }
 
   std::uint32_t alloc_node();
-  void free_node(std::uint32_t idx);
-  /// Files node `idx` by `when` relative to `now_`: a wheel bucket, or the
-  /// due batch when `when == now_`.
-  void file_node(std::uint32_t idx);
-  void bucket_unlink(std::uint32_t idx);
-  /// Advances `now_` to the next event time if it is <= `limit` and moves
-  /// that event's whole same-time batch into `due_` (sorted by seq).
-  /// Returns false — without firing or overshooting `limit` — otherwise.
-  bool extract_next(Time limit);
-  /// Dispatches the next live entry of the due batch; false if none.
-  bool fire_one();
+  void free_node(std::uint32_t slot);
+  /// Stores `e` at heap index `pos` and records the position in its node.
+  void place(std::size_t pos, const Entry& e);
+  void sift_up(std::size_t pos, Entry e);
+  void sift_down(std::size_t pos, Entry e);
+  /// Removes the entry at heap index `pos`, restoring the heap order.
+  void remove_at(std::size_t pos);
+  /// Pops the earliest entry, advances `now()` to it and dispatches it.
+  void fire_next();
 
   std::vector<Node> slab_;
+  std::vector<Entry> heap_;
   std::uint32_t free_head_ = kNil;
   std::size_t free_count_ = 0;
-  Bucket wheel_[kLevels][kBucketsPerLevel];
-  std::uint64_t occupied_[kLevels] = {};
-  /// Same-time dispatch batch: (slab index, seq) pairs in ascending seq
-  /// order. Entries whose node was cancelled are skipped on dispatch.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> due_;
-  std::size_t due_cursor_ = 0;
-  std::size_t live_ = 0;
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;

@@ -11,6 +11,13 @@ namespace pinsim::sim {
 /// (send/pull requests by sequence id, tracked regions by region id, fault
 /// plans by link key).
 ///
+/// Small, bounded tables only: a table's size must follow live state (open
+/// requests, peers, links, regions), never accumulated traffic. Insert and
+/// erase shift the vector tail, so a table that keeps a history grows that
+/// cost with every message (a FlatSet of the last 8,192 completed message
+/// keys once spent a quarter of an eager-only run shifting 64 KiB). A
+/// history of fixed length belongs in a `RecentSet` (sim/recent_set.hpp).
+///
 /// The simulator's tables are small (tens of live entries), integer-keyed
 /// and lookup-dominated, which is the regime where a contiguous sorted
 /// vector beats both `std::map` (pointer-chasing, a node allocation per
@@ -100,7 +107,8 @@ class FlatMap {
 };
 
 /// Sorted-vector set companion to FlatMap, for small membership tables
-/// (duplicate-suppression keys, pending fast-retry polls).
+/// (fragment offsets of one message, pending fast-retry polls). The same
+/// small-and-bounded contract applies.
 template <typename K>
 class FlatSet {
  public:

@@ -103,6 +103,129 @@ TEST(EndpointEdge, DuplicateOfCompletedEagerMessageIsReAcked) {
   EXPECT_EQ(rig.pb->ep.inflight(), 0u);
 }
 
+EagerBody eager_msg(std::uint32_t seq, std::uint64_t match, std::byte fill) {
+  EagerBody body;
+  body.match = match;
+  body.msg_len = 8;
+  body.seq = seq;
+  body.data.assign(8, fill);
+  return body;
+}
+
+// Duplicate-suppression memory holds the last 8,192 completions: after a
+// long run from one peer, a retransmission of a recent message is still
+// recognised, re-acked, and kept out of the user's buffers, while a recent
+// seq that never arrived is still taken as new.
+TEST(EndpointEdge, DuplicateOfRecentEagerIsSuppressedAfterLongTraffic) {
+  Rig rig;
+  constexpr std::uint32_t kMessages = 20'000;
+  constexpr std::uint32_t kLost = kMessages - 5;  // arrives only at the end
+  const auto dst = rig.pb->heap.malloc(8);
+  for (std::uint32_t seq = 1; seq <= kMessages; ++seq) {
+    if (seq == kLost) continue;
+    auto req = rig.pb->lib.irecv(0x10, kAll, dst, 8);
+    rig.inject_to_b(make_packet(eager_msg(seq, 0x10, std::byte{0x22})));
+    rig.drain();
+    ASSERT_TRUE(req->completed()) << "seq " << seq;
+  }
+  ASSERT_EQ(rig.pb->lib.counters().eager_completed, kMessages - 1);
+
+  // A posted receive the duplicate would match if it were taken as new.
+  const auto sentinel = rig.pb->heap.malloc(8);
+  const std::vector<std::byte> untouched(8, std::byte{0xee});
+  rig.pb->as.write(sentinel, untouched);
+  auto spare = rig.pb->lib.irecv(0x10, kAll, sentinel, 8);
+  const auto dups_before = rig.pb->lib.counters().duplicates_suppressed;
+  const auto tx_before = rig.b->nic().stats().tx_frames;
+
+  rig.inject_to_b(
+      make_packet(eager_msg(kMessages - 10, 0x10, std::byte{0x5a})));
+  rig.drain();
+
+  EXPECT_EQ(rig.pb->lib.counters().duplicates_suppressed, dups_before + 1);
+  EXPECT_GT(rig.b->nic().stats().tx_frames, tx_before);  // re-acked
+  EXPECT_EQ(rig.pb->lib.counters().eager_completed, kMessages - 1);
+  EXPECT_FALSE(spare->completed());
+  std::vector<std::byte> got(8);
+  rig.pb->as.read(sentinel, got);
+  EXPECT_EQ(got, untouched);
+  rig.pb->as.read(dst, got);
+  EXPECT_EQ(got, std::vector<std::byte>(8, std::byte{0x22}));
+
+  // The lost message's retransmission finally lands: new, so delivered.
+  rig.inject_to_b(make_packet(eager_msg(kLost, 0x10, std::byte{0x77})));
+  rig.drain();
+  ASSERT_TRUE(spare->completed());
+  EXPECT_TRUE(spare->status().ok);
+  rig.pb->as.read(sentinel, got);
+  EXPECT_EQ(got, std::vector<std::byte>(8, std::byte{0x77}));
+}
+
+// A sender numbers its sends from one counter shared by all its peers, so
+// a flow's seqs can jump by thousands, and a retransmitted message can
+// complete after much newer ones from the same peer. Suppression remembers
+// completions in completion order, not a window of seq space, so the late
+// message's own retransmission is still recognised.
+TEST(EndpointEdge, LateCompletionOfAnOldSeqIsRemembered) {
+  Rig rig;
+  constexpr std::uint32_t kLost = 5;
+  constexpr std::uint32_t kNewer = kLost + 20'000;
+  const auto dst = rig.pb->heap.malloc(8);
+  auto newer = rig.pb->lib.irecv(0x12, kAll, dst, 8);
+  rig.inject_to_b(make_packet(eager_msg(kNewer, 0x12, std::byte{0x01})));
+  rig.drain();
+  ASSERT_TRUE(newer->completed());
+  auto late = rig.pb->lib.irecv(0x12, kAll, dst, 8);
+  rig.inject_to_b(make_packet(eager_msg(kLost, 0x12, std::byte{0x02})));
+  rig.drain();
+  ASSERT_TRUE(late->completed());
+
+  // Its ack was lost too, so the sender retransmits it once more.
+  const auto sentinel = rig.pb->heap.malloc(8);
+  const std::vector<std::byte> untouched(8, std::byte{0xee});
+  rig.pb->as.write(sentinel, untouched);
+  auto spare = rig.pb->lib.irecv(0x12, kAll, sentinel, 8);
+  const auto dups_before = rig.pb->lib.counters().duplicates_suppressed;
+  const auto tx_before = rig.b->nic().stats().tx_frames;
+  rig.inject_to_b(make_packet(eager_msg(kLost, 0x12, std::byte{0x03})));
+  rig.drain();
+
+  EXPECT_EQ(rig.pb->lib.counters().duplicates_suppressed, dups_before + 1);
+  EXPECT_GT(rig.b->nic().stats().tx_frames, tx_before);  // re-acked
+  EXPECT_FALSE(spare->completed());
+  std::vector<std::byte> got(8);
+  rig.pb->as.read(sentinel, got);
+  EXPECT_EQ(got, untouched);
+  rig.pb->as.read(dst, got);
+  EXPECT_EQ(got, std::vector<std::byte>(8, std::byte{0x02}));
+}
+
+// A restarted peer starts its seq space over: its seq 1 is a new message,
+// not a duplicate of the old incarnation's seq 1.
+TEST(EndpointEdge, RestartedPeersFirstSeqIsDelivered) {
+  Rig rig;
+  const auto dst = rig.pb->heap.malloc(8);
+  auto first = rig.pb->lib.irecv(0x11, kAll, dst, 8);
+  rig.inject_to_b(make_packet(eager_msg(1, 0x11, std::byte{0x01})));
+  rig.drain();
+  ASSERT_TRUE(first->completed());
+
+  // Before the restart, seq 1 again is a duplicate.
+  auto second = rig.pb->lib.irecv(0x11, kAll, dst, 8);
+  rig.inject_to_b(make_packet(eager_msg(1, 0x11, std::byte{0x02})));
+  rig.drain();
+  EXPECT_FALSE(second->completed());
+
+  rig.pb->ep.on_peer_restarted(rig.a->nic().node_id(), 0);
+  rig.inject_to_b(make_packet(eager_msg(1, 0x11, std::byte{0x03})));
+  rig.drain();
+  ASSERT_TRUE(second->completed());
+  EXPECT_TRUE(second->status().ok);
+  std::vector<std::byte> got(8);
+  rig.pb->as.read(dst, got);
+  EXPECT_EQ(got, std::vector<std::byte>(8, std::byte{0x03}));
+}
+
 TEST(EndpointEdge, DuplicateRndvDoesNotStartASecondPull) {
   Rig rig;
   const auto dst = rig.pb->heap.malloc(256 * 1024);

@@ -249,6 +249,64 @@ TEST(PullReplyValidation, DuplicateAfterCompletionDoesNotRewriteBuffer) {
   EXPECT_EQ(rig.pb->ep.inflight(), 0u);
 }
 
+// Duplicate-suppression memory outlives long traffic: after 20,000 eager
+// messages from one peer, a late copy of that peer's most recent rendezvous
+// is recognised instead of starting a second pull into a fresh receive.
+TEST(DuplicateSuppression, LateRndvCopyAfterLongTrafficIsSuppressed) {
+  Rig rig;
+  constexpr std::uint32_t kEager = 20'000;
+  constexpr std::uint32_t kBatch = 500;
+  const auto small_src = rig.pa->heap.malloc(8);
+  const auto small_dst = rig.pb->heap.malloc(8);
+  for (std::uint32_t sent = 0; sent < kEager; sent += kBatch) {
+    std::vector<RequestPtr> reqs;
+    for (std::uint32_t i = 0; i < kBatch; ++i) {
+      reqs.push_back(rig.pb->lib.irecv(0x20, kAll, small_dst, 8));
+      reqs.push_back(rig.pa->lib.isend(rig.pb->addr(), 0x20, small_src, 8));
+    }
+    rig.drain();
+    for (const auto& r : reqs) ASSERT_TRUE(r->completed() && r->status().ok);
+  }
+
+  const std::size_t size = 64 * 1024;
+  const auto src = rig.pa->heap.malloc(size);
+  const auto dst = rig.pb->heap.malloc(size);
+  const auto data = pattern(size, 21);
+  rig.pa->as.write(src, data);
+  auto recv = rig.pb->lib.irecv(0x21, kAll, dst, size);
+  auto send = rig.pa->lib.isend(rig.pb->addr(), 0x21, src, size);
+  rig.drain();
+  ASSERT_TRUE(recv->completed() && recv->status().ok);
+  ASSERT_TRUE(send->completed() && send->status().ok);
+  ASSERT_EQ(rig.pb->lib.counters().rndv_received, 1u);
+
+  // A posted receive the copy would match if it were taken as new.
+  const auto spare_buf = rig.pb->heap.malloc(size);
+  const std::vector<std::byte> untouched(size, std::byte{0xee});
+  rig.pb->as.write(spare_buf, untouched);
+  auto spare = rig.pb->lib.irecv(0x21, kAll, spare_buf, size);
+  const auto dups_before = rig.pb->lib.counters().duplicates_suppressed;
+  const auto pulls_before = rig.pb->lib.counters().pulls_sent;
+
+  RndvBody copy;
+  copy.match = 0x21;
+  copy.msg_len = size;
+  copy.region = 1;
+  copy.seq = kEager + 1;  // the sender numbers its sends 1, 2, ...
+  rig.inject_to_b(make_packet(copy));
+  rig.drain();
+
+  EXPECT_EQ(rig.pb->lib.counters().rndv_received, 2u);
+  EXPECT_EQ(rig.pb->lib.counters().duplicates_suppressed, dups_before + 1);
+  EXPECT_EQ(rig.pb->lib.counters().pulls_sent, pulls_before);
+  EXPECT_FALSE(spare->completed());
+  std::vector<std::byte> got(size);
+  rig.pb->as.read(spare_buf, got);
+  EXPECT_EQ(got, untouched);
+  rig.pb->as.read(dst, got);
+  EXPECT_EQ(got, data);
+}
+
 TEST(PullReplyValidation, PullBeyondSenderRegionIsNotServed) {
   Rig rig;
   const auto buf = rig.pa->heap.malloc(4096);

@@ -1,17 +1,21 @@
 // Standalone contract tests for the simulator's flat containers and the
 // protocol object pools: ordered iteration, duplicate-insert semantics, the
 // documented iterator/reference invalidation contract (and the
-// FlatMap-of-pool-Ptr pattern that survives it), and stable node addresses
-// across release/re-acquire cycles.
+// FlatMap-of-pool-Ptr pattern that survives it), RecentSet's FIFO horizon,
+// and stable node addresses across release/re-acquire cycles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "mem/pool.hpp"
 #include "sim/flat_map.hpp"
+#include "sim/recent_set.hpp"
 
 namespace pinsim {
 namespace {
@@ -143,6 +147,58 @@ TEST(FlatSet, OrderedIterationProperty) {
   for (int k : {5, 3, 8, 1, 9, 2}) s.insert(k);
   std::vector<int> got(s.begin(), s.end());
   EXPECT_EQ(got, (std::vector<int>{1, 2, 3, 5, 8, 9}));
+}
+
+// --- RecentSet ---------------------------------------------------------------
+
+// Against a model holding the last Capacity keys: membership of every key in
+// the range after every insert, through index growth, ring wrap-around and
+// repeated keys. A small key range keeps probe runs long and full of
+// entries that backward-shift deletion has to move.
+TEST(RecentSet, MatchesALastNKeysModel) {
+  constexpr std::size_t kCap = 100;
+  constexpr std::uint64_t kRange = 300;
+  sim::RecentSet<kCap> set;
+  std::deque<std::uint64_t> model;
+  std::mt19937_64 rng(7);
+  for (int step = 0; step < 5000; ++step) {
+    const std::uint64_t key = rng() % kRange;
+    set.insert(key);
+    model.push_back(key);
+    if (model.size() > kCap) model.pop_front();
+    ASSERT_EQ(set.size(), model.size());
+    for (std::uint64_t k = 0; k < kRange; ++k) {
+      const bool want = std::find(model.begin(), model.end(), k) != model.end();
+      ASSERT_EQ(set.contains(k), want) << "step " << step << " key " << k;
+    }
+  }
+}
+
+TEST(RecentSet, KeepsExactlyTheLastCapacityKeys) {
+  sim::RecentSet<8192> set;
+  for (std::uint64_t k = 1; k <= 20'000; ++k) set.insert(k << 20);
+  EXPECT_EQ(set.size(), 8192u);
+  EXPECT_FALSE(set.contains(std::uint64_t{20'000 - 8192} << 20));
+  for (std::uint64_t k = 20'000 - 8191; k <= 20'000; ++k) {
+    ASSERT_TRUE(set.contains(k << 20)) << k;
+  }
+}
+
+TEST(RecentSet, EraseIfKeepsTheSurvivorsInInsertionOrder) {
+  sim::RecentSet<64> set;
+  EXPECT_FALSE(set.contains(0));
+  set.erase_if([](std::uint64_t) { return true; });  // on an empty set
+  for (std::uint64_t k = 0; k < 100; ++k) set.insert(k);  // holds 36..99
+  set.erase_if([](std::uint64_t k) { return k % 2 == 1; });
+  EXPECT_EQ(set.size(), 32u);
+  EXPECT_FALSE(set.contains(37));
+  EXPECT_TRUE(set.contains(36));
+  // 40 more keys overflow by 8: the 8 oldest survivors go first.
+  for (std::uint64_t k = 100; k < 140; ++k) set.insert(k);
+  EXPECT_EQ(set.size(), 64u);
+  EXPECT_FALSE(set.contains(50));
+  EXPECT_TRUE(set.contains(52));
+  EXPECT_TRUE(set.contains(139));
 }
 
 // --- ObjectPool --------------------------------------------------------------

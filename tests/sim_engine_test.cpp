@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -277,11 +279,12 @@ TEST(Engine, RandomizedCancellationProperty) {
   EXPECT_EQ(eng.pending(), 0u);
 }
 
-// Mass-cancel torture (ISSUE 6): the old scheduler let cancelled entries
-// linger in the heap until popped, so pending() could disagree with live
-// occupancy after a retry-timer storm. Interleave schedule/cancel/run_until
-// at scale and audit the full accounting invariant with self_check() — which
-// walks the wheel, the due batch and the free list — at every phase.
+// Mass-cancel torture: a lazy-deletion scheduler lets cancelled
+// entries linger in the queue until popped, so pending() can disagree with
+// live occupancy after a retry-timer storm. Interleave schedule/cancel/
+// run_until at scale and audit the full accounting invariant with
+// self_check() — heap order, stored heap positions and the free list — at
+// every phase.
 TEST(Engine, MassCancelTortureKeepsAccountingExact) {
   Engine eng;
   Rng rng(0xc4a05);
@@ -292,8 +295,8 @@ TEST(Engine, MassCancelTortureKeepsAccountingExact) {
   constexpr int kRounds = 200;
   constexpr int kBatch = 64;
   for (int round = 0; round < kRounds; ++round) {
-    // Burst of schedules across several wheel levels (retry timers, frame
-    // hops, and long watchdogs all at once).
+    // Burst of schedules spanning six orders of magnitude of delay (retry
+    // timers, frame hops, and long watchdogs all at once).
     for (int i = 0; i < kBatch; ++i) {
       const Time delay = rng.bernoulli(0.7)   ? rng.uniform(0, 2'000)
                          : rng.bernoulli(0.8) ? rng.uniform(2'000, 200'000)
@@ -302,7 +305,7 @@ TEST(Engine, MassCancelTortureKeepsAccountingExact) {
       ++expected;
     }
     // Mass-cancel sweep: kill roughly half of everything still pending,
-    // including events already extracted into the current due batch.
+    // including events due at the current instant.
     for (auto& id : live_ids) {
       if (id.valid() && rng.bernoulli(0.5) && eng.cancel(id)) {
         --expected;
@@ -323,16 +326,15 @@ TEST(Engine, MassCancelTortureKeepsAccountingExact) {
   EXPECT_EQ(eng.processed(), fired);
 }
 
-// Cancelling events that are already in the extracted due batch must not
-// leave stale entries behind or corrupt the batch cursor.
+// Cancelling same-time events from inside a callback of that instant must
+// not leave stale entries behind or disturb the order of the survivors.
 TEST(Engine, CancelInsideSameTimeBatchIsExact) {
   Engine eng;
   std::string why;
   std::vector<Engine::EventId> ids;
   int fired = 0;
-  // First event of the batch cancels three later same-time events from
-  // inside its callback — after extract_next has already moved the whole
-  // batch into the due list, so the cancels hit kDue nodes.
+  // First event of the instant cancels three later same-time events from
+  // inside its callback, while they are already due.
   eng.schedule_at(10, [&] {
     for (int i = 0; i < 3; ++i) {
       EXPECT_TRUE(eng.cancel(ids[static_cast<size_t>(i)]));
@@ -345,6 +347,105 @@ TEST(Engine, CancelInsideSameTimeBatchIsExact) {
   EXPECT_EQ(fired, 5);
   EXPECT_EQ(eng.pending(), 0u);
   ASSERT_TRUE(eng.self_check(&why)) << why;
+}
+
+// Indexed-heap torture: a cancel must repair the heap wherever its entry
+// sits — the root, the last slot, an interior entry with children, or one of
+// several entries sharing a timestamp — and dispatch must still follow
+// (when, seq). self_check() audits heap order and every node's stored heap
+// position after each operation.
+TEST(Engine, HeapCancelTortureAtEveryPosition) {
+  Engine eng;
+  Rng rng(0x4ea9);
+  std::string why;
+  struct Live {
+    Time when;
+    int order;  // scheduling order, which is also seq order
+    Engine::EventId id;
+  };
+  std::vector<Live> live;
+  std::vector<int> fired;
+  int next_order = 0;
+  const auto schedule = [&](Time when) {
+    const int order = next_order++;
+    live.push_back(
+        {when, order, eng.schedule_at(when, [&fired, order] {
+           fired.push_back(order);
+         })});
+  };
+  const auto earliest = [&] {
+    return std::min_element(live.begin(), live.end(),
+                            [](const Live& a, const Live& b) {
+                              return a.when != b.when ? a.when < b.when
+                                                      : a.order < b.order;
+                            });
+  };
+  const auto cancel = [&](std::vector<Live>::iterator it) {
+    ASSERT_TRUE(eng.cancel(it->id));
+    ASSERT_FALSE(eng.cancel(it->id));
+    live.erase(it);
+  };
+  const auto audit = [&](const char* op, int round) {
+    ASSERT_TRUE(eng.self_check(&why)) << op << " @" << round << ": " << why;
+    ASSERT_EQ(eng.pending(), live.size()) << op << " @" << round;
+  };
+
+  for (int i = 0; i < 200; ++i) schedule(rng.uniform(1, 400));
+  audit("fill", 0);
+  for (int round = 0; round < 400; ++round) {
+    switch (round % 5) {
+      case 0:  // the root: earliest (when, seq)
+        cancel(earliest());
+        audit("cancel root", round);
+        break;
+      case 1:  // the last slot: latest time, scheduled last, never sifts up
+        schedule(eng.now() + 1'000'000);
+        cancel(live.end() - 1);
+        audit("cancel last", round);
+        break;
+      case 2: {  // interior: a random entry other than the root
+        if (live.size() < 2) break;
+        const auto root = earliest();
+        auto victim = live.begin() +
+                      static_cast<std::ptrdiff_t>(rng.uniform(0, live.size() - 1));
+        if (victim == root) victim = victim + 1 == live.end() ? live.begin()
+                                                              : victim + 1;
+        cancel(victim);
+        audit("cancel interior", round);
+        break;
+      }
+      case 3: {  // same-time group: cancel the 2nd and 4th of five
+        const Time t = eng.now() + rng.uniform(0, 300);
+        const std::size_t first = live.size();
+        for (int i = 0; i < 5; ++i) schedule(t);
+        const int keep_a = live[first].order;
+        cancel(live.begin() + static_cast<std::ptrdiff_t>(first + 3));
+        audit("cancel same-time 4th", round);
+        cancel(live.begin() + static_cast<std::ptrdiff_t>(first + 1));
+        audit("cancel same-time 2nd", round);
+        ASSERT_EQ(live[first].order, keep_a);
+        break;
+      }
+      default: {  // dispatch: must be the earliest survivor
+        if (live.empty()) break;
+        const int expect = earliest()->order;
+        live.erase(earliest());
+        ASSERT_TRUE(eng.step());
+        ASSERT_EQ(fired.back(), expect) << "round " << round;
+        audit("step", round);
+        break;
+      }
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  while (!live.empty()) {
+    const int expect = earliest()->order;
+    live.erase(earliest());
+    ASSERT_TRUE(eng.step());
+    ASSERT_EQ(fired.back(), expect);
+    audit("drain", 0);
+  }
+  EXPECT_FALSE(eng.step());
 }
 
 TEST(Engine, SelfCheckPassesOnFreshAndDrainedEngine) {
