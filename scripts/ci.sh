@@ -148,10 +148,10 @@ fi
 #  1. against the committed BENCH_seed.json for the bit-stable sim-time
 #     latency metrics (tight threshold, cannot flake) — throughput metrics
 #     are newer than that baseline and ride along record-only;
-#  2. against the committed BENCH_pr14.json for the wall-clock throughput
+#  2. against the committed BENCH_pr15.json for the wall-clock throughput
 #     metrics (events_per_sec, sim_ns_per_wall_ms), the first point after
-#     the heap event queue and the completed-message ring took per-event
-#     and per-message bookkeeping off the eager path. Wall-clock
+#     in-place PULL_REPLY frames and the VPCLMULQDQ CRC-32 fold took the
+#     staging copies and most of the checksum off the bulk path. Wall-clock
 #     numbers vary with the machine, so the tolerance is generous and
 #     overridable via PINSIM_PERF_TPUT_TOL (relative drop, default 0.5);
 #  3. against the committed BENCH_pr8.json, the first point carrying the
@@ -197,9 +197,9 @@ perf_tier() {
       --delta-out build/BENCH_delta.json; then
     failed=1
   fi
-  if [[ -f BENCH_pr14.json ]]; then
+  if [[ -f BENCH_pr15.json ]]; then
     if ! python3 scripts/bench_compare.py compare \
-        --baseline BENCH_pr14.json --current build/BENCH_ci.json \
+        --baseline BENCH_pr15.json --current build/BENCH_ci.json \
         --throughput-threshold "${tput_tol}" \
         --delta-out build/BENCH_tput_delta.json; then
       failed=1

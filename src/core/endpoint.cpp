@@ -911,17 +911,12 @@ void Endpoint::on_pull(net::NodeId src, std::uint8_t src_ep,
        off += proto.frame_payload) {
     const std::size_t n = std::min(proto.frame_payload, end - off);
     ++counters_.region_accesses;
-    PullReplyBody reply;
-    reply.handle = body.handle;
-    reply.offset = off;
-    reply.data.resize(n);
-    // Zero-copy send: the NIC reads the pinned pages during serialization;
-    // no CPU copy cost is charged. If the page is not pinned yet this is an
-    // overlap miss and the frame is simply not sent (paper §3.3).
-    if (driver_.config().pinning.mode == PinMode::kNone) {
-      region->copy_out_paged(off, reply.data);  // NIC-MMU walk, never misses
-    } else if (region->copy_out(off, reply.data) !=
-               Region::AccessResult::kOk) {
+    // Zero-copy send: the NIC reads the pinned pages during serialization,
+    // so the bytes go from the pinned frames straight into the frame's data
+    // window and no CPU copy cost is charged. If a page is not pinned yet
+    // this is an overlap miss and the frame is simply not sent (paper §3.3).
+    const bool paged = driver_.config().pinning.mode == PinMode::kNone;
+    if (!paged && !region->range_pinned(off, n)) {
       ++counters_.overlap_misses;
       ++counters_.frames_dropped_on_miss;
       {
@@ -937,6 +932,16 @@ void Endpoint::on_pull(net::NodeId src, std::uint8_t src_ep,
       arm_sender_fast_retry(src, src_ep, body);
       continue;
     }
+    const EndpointAddr dest{src, src_ep};
+    PullReplyFrame frame(header_to(dest, PacketType::kPullReply), body.handle,
+                         off, n);
+    if (paged) {
+      region->copy_out_paged(off, frame.data());  // NIC-MMU walk, never misses
+    } else {
+      const Region::AccessResult copied = region->copy_out(off, frame.data());
+      assert(copied == Region::AccessResult::kOk);  // range checked above
+      (void)copied;
+    }
     {
       obs::Event e = ev(obs::EventKind::kCopyOut);
       e.region = body.region;
@@ -948,7 +953,8 @@ void Endpoint::on_pull(net::NodeId src, std::uint8_t src_ep,
       obs_emit(e);
     }
     ++counters_.pull_replies_sent;
-    send_packet({src, src_ep}, std::move(reply), cpu::Priority::kBottomHalf);
+    transmit(dest, PacketType::kPullReply, std::move(frame).finish(),
+             cpu::Priority::kBottomHalf);
   }
 }
 
@@ -1410,36 +1416,48 @@ void Endpoint::obs_emit(obs::Event e) {
 }
 
 void Endpoint::send_packet(EndpointAddr dest, PacketBody body,
-                           cpu::Priority priority, sim::Time extra_cost) {
+                           cpu::Priority priority) {
+  const auto t = static_cast<PacketType>(body.index() + 1);
+  Packet pkt;
+  pkt.header = header_to(dest, t);
+  pkt.body = std::move(body);
+  transmit(dest, t, encode(pkt), priority);
+}
+
+PacketHeader Endpoint::header_to(EndpointAddr dest, PacketType t) const {
+  PacketHeader h;
+  h.type = t;
+  h.src_ep = id_;
+  h.dst_ep = dest.ep;
+  // Incarnation fencing: our epoch, and the destination's as far as we have
+  // learned it (0 = unknown, never fenced — first contact always lands).
+  h.src_epoch = epoch_;
+  h.dst_epoch = driver_.peer_epoch(dest.node, dest.ep);
+  return h;
+}
+
+void Endpoint::transmit(EndpointAddr dest, PacketType t,
+                        std::vector<std::byte> payload,
+                        cpu::Priority priority) {
   {
     obs::Event e = ev(obs::EventKind::kPktTx);
-    e.pkt = static_cast<std::uint8_t>(body.index() + 1);
-    e.label = packet_type_name(static_cast<PacketType>(body.index() + 1));
+    e.pkt = static_cast<std::uint8_t>(t);
+    e.label = packet_type_name(t);
     e.peer = dest.node;
     e.peer_ep = dest.ep;
     obs_emit(e);
   }
-  Packet pkt;
-  pkt.header.type = static_cast<PacketType>(body.index() + 1);
-  pkt.header.src_ep = id_;
-  pkt.header.dst_ep = dest.ep;
-  // Incarnation fencing: our epoch, and the destination's as far as we have
-  // learned it (0 = unknown, never fenced — first contact always lands).
-  pkt.header.src_epoch = epoch_;
-  pkt.header.dst_epoch = driver_.peer_epoch(dest.node, dest.ep);
-  pkt.body = std::move(body);
-
   net::Frame frame;
   frame.dst = dest.node;
-  frame.payload = encode(pkt);
+  frame.payload = std::move(payload);
 
   cpu::Core& core = priority == cpu::Priority::kBottomHalf
                         ? bh_core()
                         : process_core_;
-  const sim::Time cost = driver_.cpu().tx_frame_overhead + extra_cost;
-  core.submit(priority, cost, guarded([this, f = std::move(frame)]() mutable {
-    driver_.nic().send(std::move(f));
-  }));
+  core.submit(priority, driver_.cpu().tx_frame_overhead,
+              guarded([this, f = std::move(frame)]() mutable {
+                driver_.nic().send(std::move(f));
+              }));
 }
 
 void Endpoint::remember_completed(std::uint64_t key) {

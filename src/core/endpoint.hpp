@@ -325,8 +325,12 @@ class Endpoint {
 
   // Frame assembly/transmission. `priority` is BH for packet-driven sends
   // and kernel for process-context submissions.
-  void send_packet(EndpointAddr dest, PacketBody body, cpu::Priority priority,
-                   sim::Time extra_cost = 0);
+  void send_packet(EndpointAddr dest, PacketBody body, cpu::Priority priority);
+  /// Header of a `t` packet to `dest`, with the incarnation epochs.
+  [[nodiscard]] PacketHeader header_to(EndpointAddr dest, PacketType t) const;
+  /// Emits kPktTx and queues the encoded frame on a core for the NIC.
+  void transmit(EndpointAddr dest, PacketType t,
+                std::vector<std::byte> payload, cpu::Priority priority);
 
   /// Stamps (node, ep) onto `e` and hands it to the driver's observability
   /// relay; a no-op (one pointer compare) with no tracer or bus attached.

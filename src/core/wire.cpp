@@ -28,11 +28,12 @@ T load_le(const std::byte* p) noexcept {
   return v;
 }
 
-/// Fills a frame sized once up front: fields are stored in place as
+/// Fills a frame buffer sized once up front: fields are stored in place as
 /// little-endian values, bulk data with one memcpy, the CRC trailer last.
 class Writer {
  public:
-  explicit Writer(std::size_t size) : out_(frame_buffers().acquire(size)) {}
+  explicit Writer(std::vector<std::byte>& out, std::size_t pos = 0)
+      : out_(out), pos_(pos) {}
 
   void u8(std::uint8_t v) { put(v); }
   void u32(std::uint32_t v) { put(v); }
@@ -44,10 +45,9 @@ class Writer {
   /// Stores the CRC-32 of everything before it as the trailer. At the end
   /// (not the front) so the dst_ep byte keeps its fixed offset for NIC flow
   /// steering.
-  [[nodiscard]] std::vector<std::byte> finish() {
+  void finish() {
     assert(pos_ + kChecksumBytes == out_.size());
     u32(frame_checksum({out_.data(), pos_}));
-    return std::move(out_);
   }
 
  private:
@@ -57,7 +57,7 @@ class Writer {
     pos_ += sizeof(T);
   }
 
-  std::vector<std::byte> out_;
+  std::vector<std::byte>& out_;
   std::size_t pos_ = 0;
 };
 
@@ -114,6 +114,22 @@ PacketType body_type(const PacketBody& b) noexcept {
   return static_cast<PacketType>(b.index() + 1);
 }
 
+void put_header(Writer& w, PacketType t, const PacketHeader& h) {
+  w.u8(static_cast<std::uint8_t>(t));
+  w.u8(h.src_ep);
+  w.u8(h.dst_ep);
+  w.u8(h.src_epoch);
+  w.u8(h.dst_epoch);
+}
+
+/// The PULL_REPLY fields between the header and the data bytes. encode() and
+/// PullReplyFrame both write them here, so the two cannot drift apart.
+void put_pull_reply_fields(Writer& w, std::uint32_t handle,
+                           std::uint64_t offset) {
+  w.u32(handle);
+  w.u64(offset);
+}
+
 // Reflected IEEE 802.3 polynomial; init and xorout are 0xffffffff.
 constexpr std::uint32_t kCrcPoly = 0xedb88320u;
 
@@ -157,6 +173,23 @@ std::uint32_t crc32_table(std::uint32_t crc, const std::byte* p,
 
 #if PINSIM_CRC_CLMUL
 
+/// A folding constant pair for the reflected IEEE polynomial. The pair that
+/// moves a 128-bit lane forward by D bits holds x^(D+32) mod P in its low
+/// qword and x^(D-32) mod P in its high qword, each bit-reflected and
+/// shifted left by one (the convention of Gopal et al., cited below). The
+/// D = 2048, 384 and 256 pairs are derived the same way as that paper's
+/// D = 512 and 128 pairs.
+struct FoldK {
+  long long hi, lo;
+};
+constexpr FoldK kFold2048{0x01322d1430, 0x011542778a};
+constexpr FoldK kFold512{0x01c6e41596, 0x0154442bd4};
+constexpr FoldK kFold384{0x0174359406, 0x003db1ecdc};
+constexpr FoldK kFold256{0x015a546366, 0x00f1da05aa};
+constexpr FoldK kFold128{0x00ccaa009e, 0x01751997d0};
+
+inline __m128i k128(FoldK k) noexcept { return _mm_set_epi64x(k.hi, k.lo); }
+
 /// Carry-less multiplies the low and high halves of a 128-bit lane by the
 /// two halves of `k` and adds them: moves the lane forward by the distance
 /// the constant pair encodes.
@@ -170,20 +203,40 @@ inline __m128i load128(const std::byte* p) noexcept {
   return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
 }
 
+/// Folds the 16-byte blocks of `p[0, n)` (n % 16 == 0) into the lane `x`,
+/// which stands for everything before `p`, then reduces 128 -> 64 -> 32
+/// bits, the last step a Barrett reduction. Returns the raw CRC register.
+__attribute__((target("pclmul,sse4.1"))) inline std::uint32_t crc32_reduce(
+    __m128i x, const std::byte* p, std::size_t n) noexcept {
+  const __m128i k3k4 = k128(kFold128);
+  const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+  const __m128i poly_mu = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+
+  for (; n >= 16; p += 16, n -= 16) {
+    x = _mm_xor_si128(fold(x, k3k4), load128(p));
+  }
+  // 128 -> 64 bits.
+  x = _mm_xor_si128(_mm_srli_si128(x, 8), _mm_clmulepi64_si128(x, k3k4, 0x10));
+  // 64 -> 32 bits.
+  x = _mm_xor_si128(_mm_clmulepi64_si128(_mm_and_si128(x, low32), k5, 0x00),
+                    _mm_srli_si128(x, 4));
+  // Barrett reduction to the 32-bit remainder.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x, low32), poly_mu, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly_mu, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x, t), 1));
+}
+
 /// Advances the raw CRC register over `n` bytes (n >= 64, n % 16 == 0) by
-/// PCLMULQDQ folding: four 128-bit lanes fold 64 B per step, collapse into
-/// one lane that folds 16 B per step, then reduce 128 -> 64 -> 32 bits,
-/// the last step a Barrett reduction. This is the bit-reflected scheme of
+/// PCLMULQDQ folding: four 128-bit lanes fold 64 B per step, then collapse
+/// into one lane for crc32_reduce(). This is the bit-reflected scheme of
 /// Gopal et al., "Fast CRC Computation for Generic Polynomials Using
 /// PCLMULQDQ Instruction" (Intel, 2009); the constants are that paper's
 /// x^k mod P values and floor(x^64 / P) for the IEEE polynomial.
 __attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_fold(
     std::uint32_t crc, const std::byte* p, std::size_t n) noexcept {
-  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
-  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
-  const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
-  const __m128i poly_mu = _mm_set_epi64x(0x01f7011641, 0x01db710641);
-  const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+  const __m128i k1k2 = k128(kFold512);
+  const __m128i k3k4 = k128(kFold128);
 
   __m128i x1 =
       _mm_xor_si128(load128(p), _mm_cvtsi32_si128(static_cast<int>(crc)));
@@ -199,21 +252,62 @@ __attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_fold(
   x1 = _mm_xor_si128(fold(x1, k3k4), x2);
   x1 = _mm_xor_si128(fold(x1, k3k4), x3);
   x1 = _mm_xor_si128(fold(x1, k3k4), x4);
-  for (; n >= 16; p += 16, n -= 16) {
-    x1 = _mm_xor_si128(fold(x1, k3k4), load128(p));
-  }
+  return crc32_reduce(x1, p, n);
+}
 
-  // 128 -> 64 bits.
-  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
-                     _mm_clmulepi64_si128(x1, k3k4, 0x10));
-  // 64 -> 32 bits.
-  x1 = _mm_xor_si128(_mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00),
-                     _mm_srli_si128(x1, 4));
-  // Barrett reduction to the 32-bit remainder.
-  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly_mu, 0x10);
-  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly_mu, 0x00);
-  return static_cast<std::uint32_t>(
-      _mm_extract_epi32(_mm_xor_si128(x1, t), 1));
+/// The same pair in each of the four 128-bit lanes of a 512-bit register.
+__attribute__((target("avx512f"))) inline __m512i k512(FoldK k) noexcept {
+  return _mm512_set_epi64(k.hi, k.lo, k.hi, k.lo, k.hi, k.lo, k.hi, k.lo);
+}
+
+/// fold() on each of the four 128-bit lanes of a 512-bit register, with the
+/// sum added in by one ternary-logic XOR.
+__attribute__((target("avx512f,vpclmulqdq,pclmul,sse4.1"))) inline __m512i
+fold512(__m512i x, __m512i k, __m512i add) noexcept {
+  return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(x, k, 0x00),
+                                   _mm512_clmulepi64_epi128(x, k, 0x11), add,
+                                   0x96);
+}
+
+__attribute__((target("avx512f,vpclmulqdq,pclmul,sse4.1"))) inline __m512i
+load512(const std::byte* p) noexcept {
+  return _mm512_loadu_si512(p);
+}
+
+/// The VPCLMULQDQ form of crc32_fold() for n >= 256 (n % 16 == 0): four
+/// 512-bit registers, sixteen 128-bit lanes in all, fold 256 B per step;
+/// they collapse into one register that folds 64 B per step, whose four
+/// lanes then fold onto the last one (by 48, 32 and 16 B) before the shared
+/// 16-byte loop and reduction.
+__attribute__((target("avx512f,vpclmulqdq,pclmul,sse4.1"))) std::uint32_t
+crc32_fold512(std::uint32_t crc, const std::byte* p, std::size_t n) noexcept {
+  const __m512i k256b = k512(kFold2048);
+  const __m512i k64b = k512(kFold512);
+
+  __m512i x0 = _mm512_xor_si512(
+      load512(p),
+      _mm512_zextsi128_si512(_mm_cvtsi32_si128(static_cast<int>(crc))));
+  __m512i x1 = load512(p + 64);
+  __m512i x2 = load512(p + 128);
+  __m512i x3 = load512(p + 192);
+  for (p += 256, n -= 256; n >= 256; p += 256, n -= 256) {
+    x0 = fold512(x0, k256b, load512(p));
+    x1 = fold512(x1, k256b, load512(p + 64));
+    x2 = fold512(x2, k256b, load512(p + 128));
+    x3 = fold512(x3, k256b, load512(p + 192));
+  }
+  x0 = fold512(x0, k64b, x1);
+  x0 = fold512(x0, k64b, x2);
+  x0 = fold512(x0, k64b, x3);
+  for (; n >= 64; p += 64, n -= 64) x0 = fold512(x0, k64b, load512(p));
+
+  alignas(64) std::byte lanes[64];
+  _mm512_store_si512(lanes, x0);
+  __m128i x = load128(lanes + 48);
+  x = _mm_xor_si128(x, fold(load128(lanes), k128(kFold384)));
+  x = _mm_xor_si128(x, fold(load128(lanes + 16), k128(kFold256)));
+  x = _mm_xor_si128(x, fold(load128(lanes + 32), k128(kFold128)));
+  return crc32_reduce(x, p, n);
 }
 
 #endif  // PINSIM_CRC_CLMUL
@@ -241,6 +335,18 @@ std::uint32_t crc32_clmul(std::span<const std::byte> bytes) noexcept {
   return crc32_table(crc, p, n) ^ 0xffffffffu;
 }
 
+std::uint32_t crc32_vpclmul(std::span<const std::byte> bytes) noexcept {
+#if PINSIM_CRC_CLMUL
+  if (bytes.size() >= 256) {
+    const std::size_t folded = bytes.size() & ~std::size_t{15};
+    const std::uint32_t crc = crc32_fold512(0xffffffffu, bytes.data(), folded);
+    return crc32_table(crc, bytes.data() + folded, bytes.size() - folded) ^
+           0xffffffffu;
+  }
+#endif
+  return crc32_clmul(bytes);
+}
+
 bool has_clmul() noexcept {
 #if PINSIM_CRC_CLMUL
   return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
@@ -249,13 +355,26 @@ bool has_clmul() noexcept {
 #endif
 }
 
+bool has_vpclmul() noexcept {
+#if PINSIM_CRC_CLMUL
+  // crc32_vpclmul() hands frames under 256 B to the PCLMULQDQ path.
+  return has_clmul() && __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("vpclmulqdq");
+#else
+  return false;
+#endif
+}
+
 }  // namespace detail
 
 std::uint32_t frame_checksum(std::span<const std::byte> bytes) noexcept {
-  // Probed once per process. Both paths return bit-identical checksums, so
+  // Probed once per process. All paths return bit-identical checksums, so
   // the choice never shows in any output.
-  static const bool clmul = detail::has_clmul();
-  return clmul ? detail::crc32_clmul(bytes) : detail::crc32_portable(bytes);
+  using Crc = std::uint32_t (*)(std::span<const std::byte>) noexcept;
+  static const Crc crc = detail::has_vpclmul() ? detail::crc32_vpclmul
+                         : detail::has_clmul() ? detail::crc32_clmul
+                                               : detail::crc32_portable;
+  return crc(bytes);
 }
 
 const char* packet_type_name(PacketType t) noexcept {
@@ -309,12 +428,10 @@ std::vector<std::byte> encode(const Packet& p) {
   if (const auto* r = std::get_if<PullReplyBody>(&p.body)) {
     data_len = r->data.size();
   }
-  Writer w(encoded_overhead(t) + data_len);
-  w.u8(static_cast<std::uint8_t>(t));
-  w.u8(p.header.src_ep);
-  w.u8(p.header.dst_ep);
-  w.u8(p.header.src_epoch);
-  w.u8(p.header.dst_epoch);
+  std::vector<std::byte> out =
+      frame_buffers().acquire(encoded_overhead(t) + data_len);
+  Writer w(out);
+  put_header(w, t, p.header);
 
   std::visit(
       [&w](const auto& body) {
@@ -339,8 +456,7 @@ std::vector<std::byte> encode(const Packet& p) {
           w.u32(body.len);
           w.u32(body.seq);
         } else if constexpr (std::is_same_v<T, PullReplyBody>) {
-          w.u32(body.handle);
-          w.u64(body.offset);
+          put_pull_reply_fields(w, body.handle, body.offset);
           w.bytes(body.data);
         } else if constexpr (std::is_same_v<T, NotifyBody>) {
           w.u32(body.seq);
@@ -352,7 +468,34 @@ std::vector<std::byte> encode(const Packet& p) {
         }
       },
       p.body);
-  return w.finish();
+  w.finish();
+  return out;
+}
+
+PullReplyFrame::PullReplyFrame(const PacketHeader& header,
+                               std::uint32_t handle, std::uint64_t offset,
+                               std::size_t data_len)
+    : bytes_(frame_buffers().acquire(
+          encoded_overhead(PacketType::kPullReply) + data_len)) {
+  Writer w(bytes_);
+  put_header(w, PacketType::kPullReply, header);
+  put_pull_reply_fields(w, handle, offset);
+}
+
+PullReplyFrame::~PullReplyFrame() {
+  if (bytes_.capacity() != 0) frame_buffers().release(std::move(bytes_));
+}
+
+std::span<std::byte> PullReplyFrame::data() noexcept {
+  const std::size_t head =
+      encoded_overhead(PacketType::kPullReply) - kChecksumBytes;
+  return {bytes_.data() + head, bytes_.size() - head - kChecksumBytes};
+}
+
+std::vector<std::byte> PullReplyFrame::finish() && {
+  Writer w(bytes_, bytes_.size() - kChecksumBytes);
+  w.finish();
+  return std::move(bytes_);
 }
 
 namespace {

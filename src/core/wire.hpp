@@ -29,8 +29,10 @@ namespace pinsim::core {
 /// (the CRC trailer makes the window trustworthy), so the only remaining
 /// copy on the hot receive path is the one the simulated DMA semantics
 /// require (Region::copy_in). The vector-like surface (resize/assign/
-/// operator[]/iterators) keeps packet-crafting tests and the send path,
-/// which still materialize their own bytes, unchanged.
+/// operator[]/iterators) serves packet-crafting tests and the EAGER send
+/// path, which stages each fragment here before encode(). PULL_REPLY data
+/// never passes through a DataChunk on the send side: PullReplyFrame copies
+/// it from the region straight into the frame.
 ///
 /// The backing buffer is returned to frame_buffers() on destruction.
 class DataChunk {
@@ -300,10 +302,10 @@ inline constexpr std::size_t kChecksumBytes = 4;
 
 namespace detail {
 
-/// The two implementations behind frame_checksum(), which picks one once per
-/// process. Both return the same CRC-32 for every input (the wire test
-/// checks them against a bitwise reference); they are exposed for that test
-/// only, not as a switch.
+/// The three implementations behind frame_checksum(), which picks the
+/// fastest one this CPU runs, once per process. All return the same CRC-32
+/// for every input (the wire test checks them against a bitwise reference);
+/// they are exposed for that test only, not as a switch.
 ///
 /// Slicing-by-8 table lookup; runs on every host.
 [[nodiscard]] std::uint32_t crc32_portable(
@@ -312,8 +314,15 @@ namespace detail {
 /// table lookup for the rest. Call only when has_clmul() is true.
 [[nodiscard]] std::uint32_t crc32_clmul(
     std::span<const std::byte> bytes) noexcept;
+/// VPCLMULQDQ folding (four 512-bit registers, 256 B per step) of the
+/// 16-byte multiple of inputs of 256 B or more; shorter inputs take
+/// crc32_clmul(). Call only when has_vpclmul() is true.
+[[nodiscard]] std::uint32_t crc32_vpclmul(
+    std::span<const std::byte> bytes) noexcept;
 /// Whether this CPU has PCLMULQDQ and SSE4.1 (always false off x86-64).
 [[nodiscard]] bool has_clmul() noexcept;
+/// Whether this CPU also has AVX-512F and VPCLMULQDQ (false off x86-64).
+[[nodiscard]] bool has_vpclmul() noexcept;
 
 }  // namespace detail
 
@@ -321,6 +330,29 @@ namespace detail {
 /// frame payload bytes. The header's `type` field is taken from the body
 /// alternative.
 [[nodiscard]] std::vector<std::byte> encode(const Packet& p);
+
+/// A PULL_REPLY frame written in place, so the sender's bulk bytes are
+/// copied once, straight from the region into the frame. The constructor
+/// takes a frame_buffers() buffer and writes the header and fields; the
+/// caller fills data(); finish() stores the CRC trailer and hands the frame
+/// payload over. The bytes equal encode() of the same PullReplyBody (the
+/// header's `type` is always kPullReply). Dropping an unfinished frame
+/// returns its buffer to frame_buffers().
+class PullReplyFrame {
+ public:
+  PullReplyFrame(const PacketHeader& header, std::uint32_t handle,
+                 std::uint64_t offset, std::size_t data_len);
+  ~PullReplyFrame();
+  PullReplyFrame(const PullReplyFrame&) = delete;
+  PullReplyFrame& operator=(const PullReplyFrame&) = delete;
+
+  /// The `data_len` bytes of the data window, zero until filled.
+  [[nodiscard]] std::span<std::byte> data() noexcept;
+  [[nodiscard]] std::vector<std::byte> finish() &&;
+
+ private:
+  std::vector<std::byte> bytes_;
+};
 
 /// Parses frame payload bytes. Throws WireChecksumError when the trailing
 /// CRC does not match, and WireFormatError on truncated or malformed input.

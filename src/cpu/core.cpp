@@ -36,27 +36,30 @@ void Core::dispatch() {
   for (std::size_t p = 0; p < queues_.size(); ++p) {
     auto& q = queues_[p];
     if (q.empty()) continue;
-    Job job = std::move(q.front());
+    const sim::Time duration = q.front().duration;
+    running_done_ = std::move(q.front().done);
     q.pop_front();
     running_ = true;
     ++stats_.jobs[p];
-    stats_.busy[p] += job.duration;
+    stats_.busy[p] += duration;
     eng_.schedule_after(
-        job.duration,
+        duration,
         // pinlint: allow(D7: the core is host hardware owned by Driver for
         // the life of the engine; jobs never outlive the machine they run on)
-        [this, done = std::move(job.done)]() mutable {
-          running_ = false;
-          done();
-          // The completion may have submitted follow-up work; if it started
-          // the core itself (submit() when idle dispatches immediately),
-          // running_ is already true again and this dispatch finds nothing
-          // extra to do wrong.
-          if (!running_) dispatch();
-        },
-        {"cpu", kPriorityLabel[p]});
+        [this] { finish_job(); }, {"cpu", kPriorityLabel[p]});
     return;
   }
+}
+
+void Core::finish_job() {
+  running_ = false;
+  // Moved out first: the completion may submit to this idle core, which
+  // dispatches at once and refills running_done_ while `done` still runs.
+  sim::UniqueFunction done = std::move(running_done_);
+  done();
+  // If the completion started the core itself, running_ is already true
+  // again and there is nothing more to dispatch.
+  if (!running_) dispatch();
 }
 
 }  // namespace pinsim::cpu

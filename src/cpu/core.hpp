@@ -78,11 +78,16 @@ class Core {
   };
 
   void dispatch();
+  void finish_job();
 
   sim::Engine& eng_;
   std::string name_;
   std::array<std::deque<Job>, kPriorityCount> queues_;
   bool running_ = false;
+  /// Completion of the running job. A core runs one job at a time, so one
+  /// slot suffices, and the engine event that ends the job captures only
+  /// `this` (small enough to store inline, unlike the 80-byte `done`).
+  sim::UniqueFunction running_done_;
   Stats stats_;
 };
 

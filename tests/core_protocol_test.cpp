@@ -2,11 +2,13 @@
 // fabric, real bytes through the full eager and rendezvous/pull paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/host.hpp"
+#include "core/wire.hpp"
 #include "sim/task.hpp"
 
 namespace pinsim::core {
@@ -500,6 +502,137 @@ TEST_F(ProtocolTest, OverlapMissesAreRareUnderNormalLoad) {
   EXPECT_GT(cs.region_accesses + cr.region_accesses, 1000u);
   EXPECT_LT(cs.overlap_miss_rate(), 0.01);
   EXPECT_LT(cr.overlap_miss_rate(), 0.01);
+}
+
+// --- in-place PULL_REPLY frames ---------------------------------------------
+
+// Host A declares a two-segment region whose segments start mid-page, so
+// replies straddle pages and the segment boundary; host B's NIC captures
+// whatever host A sends it.
+class PullReplyFrames : public ProtocolTest {
+ protected:
+  static constexpr std::size_t kSeg0 = 10000;
+  static constexpr std::size_t kSeg1 = 9000;
+
+  void build_sender(StackConfig stack) {
+    build(std::move(stack));
+    const mem::VirtAddr b0 = pa_->heap.malloc(kSeg0 + 4096);
+    const mem::VirtAddr b1 = pa_->heap.malloc(kSeg1 + 4096);
+    segs_ = {Segment{b0 + 100, kSeg0}, Segment{b1 + 7, kSeg1}};
+    fill_pattern(*pa_, segs_[0].addr, kSeg0, 3);
+    fill_pattern(*pa_, segs_[1].addr, kSeg1, 4);
+    region_ = pa_->ep.declare_region(segs_);
+    b_->nic().set_rx_handler(
+        [this](net::Frame&& f) { captured_.push_back(std::move(f.payload)); });
+  }
+
+  void pull(std::uint64_t offset, std::uint32_t len) {
+    Packet p;
+    p.header.type = PacketType::kPull;
+    p.header.src_ep = pb_->ep.id();
+    p.header.dst_ep = pa_->ep.id();
+    PullBody body;
+    body.region = region_;
+    body.handle = 9;
+    body.offset = offset;
+    body.len = len;
+    body.seq = 1;
+    p.body = body;
+    pa_->ep.handle_packet(b_->nic().node_id(), std::move(p));
+  }
+
+  /// Region bytes [offset, offset + n), read through the page table.
+  std::vector<std::byte> region_bytes(std::size_t offset, std::size_t n) {
+    std::vector<std::byte> out(n);
+    for (std::size_t done = 0; done < n;) {
+      const bool first = offset + done < kSeg0;
+      const std::size_t in_seg = first ? offset + done : offset + done - kSeg0;
+      const Segment& seg = segs_[first ? 0 : 1];
+      const std::size_t chunk = std::min(n - done, seg.len - in_seg);
+      pa_->as.read(seg.addr + in_seg, {out.data() + done, chunk});
+      done += chunk;
+    }
+    return out;
+  }
+
+  /// encode() of the PULL_REPLY host A should send for region bytes
+  /// [offset, offset + n).
+  std::vector<std::byte> expected_frame(std::size_t offset, std::size_t n) {
+    Packet p;
+    p.header.type = PacketType::kPullReply;
+    p.header.src_ep = pa_->ep.id();
+    p.header.dst_ep = pb_->ep.id();
+    p.header.src_epoch = pa_->ep.epoch();
+    p.header.dst_epoch =
+        a_->driver().peer_epoch(b_->nic().node_id(), pb_->ep.id());
+    PullReplyBody body;
+    body.handle = 9;
+    body.offset = offset;
+    body.data = region_bytes(offset, n);
+    p.body = std::move(body);
+    return encode(p);
+  }
+
+  std::vector<Segment> segs_;
+  RegionId region_ = kInvalidRegion;
+  std::vector<std::vector<std::byte>> captured_;
+};
+
+class PullReplyFramesByMode : public PullReplyFrames,
+                              public ::testing::WithParamInterface<bool> {};
+
+TEST_P(PullReplyFramesByMode, InPlaceFramesEqualEncodeOfTheSameBody) {
+  const bool pinned = GetParam();
+  build_sender(pinned ? pinning_cache_config() : qsnet_ideal_config());
+  if (pinned) {
+    bool ok = false;
+    pa_->ep.pin_manager().ensure_pinned(*pa_->ep.find_region(region_),
+                                        [&ok](bool r) { ok = r; });
+    eng_.run();
+    ASSERT_TRUE(ok);
+  }
+  const std::size_t frame = 8192;
+  const struct {
+    std::uint64_t offset;
+    std::uint32_t len;
+  } cases[] = {
+      {0, 4096},               // one page
+      {100, 8192},             // a full frame straddling three pages
+      {9000, 2000},            // across the segment boundary
+      {0, kSeg0 + kSeg1},      // the whole region: two full frames and a tail
+      {kSeg0 + kSeg1 - 1, 1},  // the region's last byte
+      {5000, 0},               // a zero-length pull sends nothing
+  };
+  for (const auto& c : cases) {
+    captured_.clear();
+    pull(c.offset, c.len);
+    eng_.run();
+    ASSERT_EQ(captured_.size(), (c.len + frame - 1) / frame)
+        << "offset " << c.offset << " len " << c.len;
+    for (std::size_t i = 0; i < captured_.size(); ++i) {
+      const std::size_t off = c.offset + i * frame;
+      const std::size_t n = std::min(frame, c.offset + c.len - off);
+      EXPECT_EQ(captured_[i], expected_frame(off, n))
+          << "offset " << c.offset << " len " << c.len << " frame " << i;
+    }
+  }
+  EXPECT_EQ(pa_->ep.counters().frames_dropped_on_miss, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(PinnedAndPaged, PullReplyFramesByMode,
+                         ::testing::Bool());
+
+TEST_F(PullReplyFrames, OverlapMissSendsNothingAndKeepsNoBuffer) {
+  build_sender(pinning_cache_config());  // declared, never pinned
+  const std::size_t retained = frame_buffers().retained();
+  const auto& c = pa_->ep.counters();
+  pull(0, 8192);
+  EXPECT_EQ(frame_buffers().retained(), retained);
+  EXPECT_EQ(c.frames_dropped_on_miss, 1u);
+  EXPECT_EQ(c.pull_replies_sent, 0u);
+  eng_.run();  // the sender's retry poll gives up: the region never pins
+  EXPECT_TRUE(captured_.empty());
+  EXPECT_EQ(c.pull_replies_sent, 0u);
 }
 
 }  // namespace

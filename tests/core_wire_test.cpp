@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 namespace pinsim::core {
@@ -268,6 +269,60 @@ TEST(WireCrc, PortablePathMatchesBitwiseReference) {
 TEST(WireCrc, ClmulPathMatchesBitwiseReference) {
   if (!detail::has_clmul()) GTEST_SKIP() << "CPU lacks PCLMULQDQ/SSE4.1";
   expect_matches_reference(detail::crc32_clmul);
+}
+
+TEST(WireCrc, VpclmulPathMatchesBitwiseReference) {
+  if (!detail::has_vpclmul()) {
+    GTEST_SKIP() << "CPU lacks AVX-512F/VPCLMULQDQ";
+  }
+  expect_matches_reference(detail::crc32_vpclmul);
+  // Both sides of the 256 B threshold, one 16 B fold past it, and the two
+  // large frames again, at every offset.
+  for (const std::size_t len : {std::size_t{255}, std::size_t{256},
+                                std::size_t{272}, std::size_t{8251},
+                                std::size_t{65581}}) {
+    const auto buf = noise(len + 16, len ^ 0xabcd);
+    for (std::size_t off = 0; off < 16; ++off) {
+      const std::span<const std::byte> s(buf.data() + off, len);
+      ASSERT_EQ(detail::crc32_vpclmul(s), crc32_bitwise(s))
+          << "offset " << off << " len " << len;
+    }
+  }
+}
+
+// PullReplyFrame writes in place exactly the bytes encode() produces for the
+// same PullReplyBody, at the sizes the send path uses.
+TEST(Wire, InPlacePullReplyEqualsEncode) {
+  PacketHeader h;
+  h.src_ep = 3;
+  h.dst_ep = 5;
+  h.src_epoch = 2;
+  h.dst_epoch = 7;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{4096}, std::size_t{8192}}) {
+    const auto data = noise(n, n + 1);
+    PullReplyFrame frame(h, 0xdeadbeef, 0x123456789aULL, n);
+    ASSERT_EQ(frame.data().size(), n);
+    std::copy(data.begin(), data.end(), frame.data().begin());
+    const std::vector<std::byte> in_place = std::move(frame).finish();
+
+    Packet p;
+    p.header = h;
+    p.header.type = PacketType::kPullReply;
+    PullReplyBody body;
+    body.handle = 0xdeadbeef;
+    body.offset = 0x123456789aULL;
+    body.data = data;
+    p.body = std::move(body);
+    EXPECT_EQ(in_place, encode(p)) << "data bytes " << n;
+  }
+}
+
+TEST(Wire, UnfinishedPullReplyFrameReturnsItsBuffer) {
+  { PullReplyFrame warm({}, 1, 0, 64); }  // the pool now holds a buffer
+  const std::size_t retained = frame_buffers().retained();
+  { PullReplyFrame dropped({}, 1, 0, 8192); }
+  EXPECT_EQ(frame_buffers().retained(), retained);
 }
 
 TEST(Wire, ChecksumErrorIsDistinctFromFormatError) {

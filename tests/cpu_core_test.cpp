@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "cpu/cpu_model.hpp"
@@ -98,6 +99,32 @@ TEST(Core, CompletionMaySubmitFollowUpWork) {
   });
   eng.run();
   EXPECT_EQ(second_done, 200u);
+
+  // A completion that owns move-only state and submits to its own (now
+  // idle) core: the follow-up starts at once and takes the core's slot for
+  // the running job's completion, yet the first completion's state stays
+  // alive until it returns and is destroyed exactly once.
+  struct Owned {
+    explicit Owned(int* destroyed) : destroyed(destroyed) {}
+    Owned(Owned&& o) noexcept
+        : destroyed(std::exchange(o.destroyed, nullptr)) {}
+    Owned& operator=(Owned&&) = delete;
+    ~Owned() {
+      if (destroyed != nullptr) ++*destroyed;
+    }
+    int* destroyed;
+  };
+  int destroyed = 0;
+  bool alive_after_submit = false;
+  sim::Time third_done = 0;
+  core.submit(Priority::kKernel, 100, [&, owned = Owned(&destroyed)] {
+    core.submit(Priority::kKernel, 100, [&] { third_done = eng.now(); });
+    alive_after_submit = owned.destroyed == &destroyed && destroyed == 0;
+  });
+  eng.run();
+  EXPECT_TRUE(alive_after_submit);
+  EXPECT_EQ(third_done, 400u);
+  EXPECT_EQ(destroyed, 1);
 }
 
 TEST(Core, UtilizationReflectsBusyFraction) {
