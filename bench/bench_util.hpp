@@ -305,7 +305,8 @@ struct ObsRig {
 
  private:
   /// Flight dumps land next to the Chrome trace: "<tag>.trace.json" yields
-  /// "<tag>-<n>.flight.json"; untraced runs use the cwd "flight" prefix.
+  /// "<tag>-<n>.flight.json". Untraced runs leave the prefix empty, so a
+  /// dump there prints its stderr digest and writes no file.
   static obs::FlightRecorder::Config flight_config(
       const std::string& trace_path) {
     obs::FlightRecorder::Config fc;

@@ -131,14 +131,14 @@ void Topology::offer_or_drop(SwitchPort& port, std::uint32_t port_id,
   const std::uint64_t bytes = frame.wire_bytes();
   if (!port.offer(std::move(frame))) {
     ++congestion_dropped_;
-    if (bus_ != nullptr && bus_->active()) {
+    if (relay_.active()) {
       obs::Event e;
       e.kind = obs::EventKind::kNetCongestionDrop;
       e.node = port_id;
       e.pkt = is_uplink ? 1 : 0;
       e.peer = dst;
       e.len = bytes;
-      bus_->emit(e);
+      relay_.emit(e);
     }
     return;
   }
@@ -147,26 +147,26 @@ void Topology::offer_or_drop(SwitchPort& port, std::uint32_t port_id,
 
 void Topology::emit_queue_depth(const SwitchPort& port, std::uint32_t port_id,
                                 bool is_uplink) {
-  if (bus_ == nullptr || !bus_->active()) return;
+  if (!relay_.active()) return;
   obs::Event e;
   e.kind = obs::EventKind::kNetPortQueue;
   e.node = port_id;
   e.pkt = is_uplink ? 1 : 0;
   e.offset = port.depth();
   e.len = port.capacity();
-  bus_->emit(e);
+  relay_.emit(e);
 }
 
 void Topology::emit_port_tx(std::uint32_t port_id, bool is_uplink,
                             sim::Time wire, std::size_t wire_bytes) {
-  if (bus_ == nullptr || !bus_->active()) return;
+  if (!relay_.active()) return;
   obs::Event e;
   e.kind = obs::EventKind::kNetPortTx;
   e.node = port_id;
   e.pkt = is_uplink ? 1 : 0;
   e.offset = static_cast<std::uint64_t>(wire);
   e.len = wire_bytes;
-  bus_->emit(e);
+  relay_.emit(e);
 }
 
 sim::Time Topology::uplink_busy_time() const {

@@ -120,12 +120,12 @@ void Watchdog::check() {
     if (!st.dead && eng_.now() - baseline > limit) {
       st.dead = true;
       ++stats_.deaths;
-      if (bus_ != nullptr && bus_->active()) {
+      if (relay_.active()) {
         obs::Event e;
         e.kind = obs::EventKind::kLifePeerDead;
         e.node = nic_.node_id();
         e.peer = peer;
-        bus_->emit(e);
+        relay_.emit(e);
       }
       if (on_peer_status_) on_peer_status_(peer, false);
     }
@@ -163,12 +163,12 @@ void Watchdog::on_heartbeat(const Frame& frame) {
     if (st.dead) {
       st.dead = false;
       ++stats_.revivals;
-      if (bus_ != nullptr && bus_->active()) {
+      if (relay_.active()) {
         obs::Event e;
         e.kind = obs::EventKind::kLifePeerAlive;
         e.node = nic_.node_id();
         e.peer = frame.src;
-        bus_->emit(e);
+        relay_.emit(e);
       }
       if (on_peer_status_) on_peer_status_(frame.src, true);
     }

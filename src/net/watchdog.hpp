@@ -8,7 +8,7 @@
 
 #include "net/frame.hpp"
 #include "net/nic.hpp"
-#include "obs/bus.hpp"
+#include "obs/relay.hpp"
 #include "sim/engine.hpp"
 #include "sim/flat_map.hpp"
 #include "sim/random.hpp"
@@ -62,10 +62,7 @@ class Watchdog {
   using AnnouncementProvider = std::function<std::vector<std::byte>()>;
 
   Watchdog(sim::Engine& eng, Nic& nic, Config cfg);
-  ~Watchdog() {
-    stop();
-    if (bus_ != nullptr) bus_->unregister_emitter();
-  }
+  ~Watchdog() { stop(); }
 
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
@@ -79,12 +76,7 @@ class Watchdog {
   void set_announcement_provider(AnnouncementProvider p) {
     announce_ = std::move(p);
   }
-  void set_bus(obs::Bus* bus) noexcept {
-    if (bus_ == bus) return;
-    if (bus_ != nullptr) bus_->unregister_emitter();
-    if (bus != nullptr) bus->register_emitter();
-    bus_ = bus;
-  }
+  void set_bus(obs::Bus* bus) noexcept { relay_.set_bus(bus); }
 
   /// Starts watching `peer`. A peer added while the watchdog runs gets the
   /// full threshold of grace before it can time out.
@@ -129,7 +121,7 @@ class Watchdog {
   PeerStatusHandler on_peer_status_;
   AnnouncementHandler on_announcement_;
   AnnouncementProvider announce_;
-  obs::Bus* bus_ = nullptr;
+  obs::Relay relay_;
   sim::FlatMap<NodeId, PeerState> peers_;
   sim::Engine::EventId beat_timer_{};
   sim::Engine::EventId check_timer_{};

@@ -16,12 +16,12 @@ namespace pinsim::obs {
 /// sinks attached `active()` is false and emitters skip event construction,
 /// so an uninstrumented run pays one pointer compare per site.
 ///
-/// Teardown-order guard: emitters that keep a Bus pointer register via
-/// register_emitter() (obs::Relay does this automatically; raw Bus* holders
-/// like net::Fabric do it in set_bus). The destructor aborts with a
-/// diagnostic if any emitter is still registered — the old silent contract
-/// ("the bus must outlive every component that emits into it, or be
-/// detached first") now fails loudly instead of as a dangling pointer.
+/// Teardown-order guard: every emitter reaches the bus through an
+/// obs::Relay, which calls register_emitter() while it points here. The
+/// destructor aborts with a diagnostic if any emitter is still registered —
+/// the old silent contract ("the bus must outlive every component that
+/// emits into it, or be detached first") now fails loudly instead of as a
+/// dangling pointer.
 class Bus {
  public:
   explicit Bus(sim::Engine& eng) : eng_(eng) {}

@@ -1,14 +1,15 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "sim/time.hpp"
 
 namespace pinsim::obs {
 
 /// Every event kind the stack emits. One enum across layers so sinks can
-/// switch on it without string matching; the legacy string tracer derives
-/// its dotted categories from these (see legacy.hpp).
+/// switch on it without string matching; `event_kind_name` gives each kind
+/// the stable name Chrome traces and flight dumps key on.
 enum class EventKind : std::uint8_t {
   // Wire / driver.
   kPktTx,            // frame handed to the NIC
@@ -89,7 +90,6 @@ enum class EventKind : std::uint8_t {
   kNetCongestionDrop,  // bounded egress queue overflowed; frame lost
 };
 
-[[nodiscard]] const char* event_kind_name(EventKind k) noexcept;
 
 /// Sender-side identity of one message chain: every hop of a rendezvous or
 /// eager transfer — post, pulls, retransmissions, completion — shares the
@@ -122,5 +122,13 @@ struct Event {
   std::uint64_t len = 0;      // byte length / total pages
   const char* label = nullptr;
 };
+
+/// Stable snake_case name of a kind ("pkt_tx", "pin_done", ...); every
+/// enumerator has its own (pinlint D5 checks the switch in event.cpp).
+[[nodiscard]] const char* event_kind_name(EventKind k) noexcept;
+
+/// One-line human rendering: time, kind name, then the nonzero fields
+/// (invariant-violation reports, debug output).
+[[nodiscard]] std::string describe(const Event& e);
 
 }  // namespace pinsim::obs

@@ -365,11 +365,12 @@ std::string FlightRecorder::digest(std::string_view reason,
 std::string FlightRecorder::dump(std::string_view reason) {
   ++dump_attempts_;
   if (dump_attempts_ > max_dumps_) return "";
+  std::fputs(digest(reason).c_str(), stderr);
+  if (dump_prefix_.empty()) return "";
   dumping_ = true;
   const std::string path =
       dump_prefix_ + "-" + json_num(dump_attempts_) + ".flight.json";
   const std::string body = render(reason);
-  std::fputs(digest(reason).c_str(), stderr);
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "obs: cannot write flight dump to %s\n",

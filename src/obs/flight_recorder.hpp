@@ -30,7 +30,7 @@ class FlightRecorder final : public Sink {
   struct Config {
     std::size_t capacity = 4096;  // ring entries (rounded up to >= 16)
     std::size_t max_dumps = 4;    // files written per recorder lifetime
-    std::string dump_prefix = "flight";  // <prefix>-<n>.flight.json
+    std::string dump_prefix;             // <prefix>-<n>.flight.json; "": none
     bool auto_dump_on_abort = true;      // kSendAbort/kRecvAbort/kLifePeerDead
   };
 
@@ -39,10 +39,10 @@ class FlightRecorder final : public Sink {
 
   void on_event(const Event& e) override;
 
-  /// Post-mortem dump: writes `<prefix>-<attempt>.flight.json` and prints
-  /// the text digest to stderr. Returns the path written, or "" when the
-  /// dump cap suppressed the write or the write failed. Always bumps the
-  /// attempt counter.
+  /// Post-mortem dump: prints the text digest to stderr and, with a
+  /// non-empty prefix, writes `<prefix>-<attempt>.flight.json`. Returns the
+  /// path written, or "" when the prefix is empty, the dump cap suppressed
+  /// the dump or the write failed. Always bumps the attempt counter.
   std::string dump(std::string_view reason);
 
   [[nodiscard]] std::uint64_t recorded() const noexcept { return recorded_; }

@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/legacy.hpp"
-
 namespace pinsim::obs {
 
 void InvariantChecker::violate(const Event& e, std::string message) {

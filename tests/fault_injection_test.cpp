@@ -9,9 +9,10 @@
 #include <vector>
 
 #include "core/host.hpp"
+#include "event_log.hpp"
 #include "net/fault.hpp"
+#include "obs/bus.hpp"
 #include "sim/task.hpp"
-#include "sim/trace.hpp"
 
 namespace pinsim::net {
 namespace {
@@ -280,20 +281,20 @@ TEST(FaultStack, BurstyLossRecoversEndToEnd) {
 
 TEST(FaultStack, FaultDecisionsAreTraced) {
   Rig rig(fast_retry_stack());
-  sim::Tracer tracer(rig.eng, 4096);
-  rig.fabric->faults().set_tracer(&tracer);
+  testutil::EventLog events;
+  obs::Bus bus(rig.eng);
+  bus.attach(&events);
+  rig.fabric->faults().set_bus(&bus);
   net::FaultPlan plan;
   plan.loss = 0.1;
   plan.corrupt = 0.1;
   transfer_and_verify(rig, plan, 128 * 1024);
+  rig.fabric->faults().set_bus(nullptr);
 
-  bool saw_drop = false, saw_corrupt = false;
-  for (const auto& ev : tracer.records()) {
-    if (ev.category == "fault.drop") saw_drop = true;
-    if (ev.category == "fault.corrupt") saw_corrupt = true;
-  }
-  EXPECT_TRUE(saw_drop);
-  EXPECT_TRUE(saw_corrupt);
+  EXPECT_NE(events.find_first(obs::EventKind::kFaultDrop),
+            testutil::EventLog::npos);
+  EXPECT_NE(events.find_first(obs::EventKind::kFaultCorrupt),
+            testutil::EventLog::npos);
 }
 
 }  // namespace

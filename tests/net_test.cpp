@@ -180,9 +180,11 @@ TEST_F(TwoNodeFixture, ConcurrentSendersShareReceiverIngress) {
 TEST(FabricLoss, RandomDropsAreApplied) {
   sim::Engine eng;
   Fabric::Config cfg;
-  cfg.drop_probability = 0.5;
   cfg.seed = 7;
   Fabric fabric(eng, cfg);
+  FaultPlan loss;
+  loss.loss = 0.5;
+  fabric.faults().set_plan(loss);
   cpu::Core core_a(eng, "a"), core_b(eng, "b");
   Nic nic_a(eng, fabric, core_a), nic_b(eng, fabric, core_b);
   int received = 0;

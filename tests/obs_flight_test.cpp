@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -165,6 +166,23 @@ TEST(FlightRecorder, DumpCapCountsAttemptsButStopsWritingFiles) {
     EXPECT_FALSE(slurp(path).empty()) << path;
     std::remove(path.c_str());
   }
+}
+
+TEST(FlightRecorder, DefaultConfigCountsTheDumpButWritesNoFile) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "flight-default";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path cwd = fs::current_path();
+  fs::current_path(dir);
+  FlightRecorder fr;
+  fr.on_event(ev(EventKind::kPktTx));
+  const std::string path = fr.dump("no prefix");
+  fs::current_path(cwd);
+  EXPECT_EQ(path, "");
+  EXPECT_EQ(fr.dump_attempts(), 1u);
+  EXPECT_TRUE(fs::is_empty(dir)) << "a default-config dump wrote a file";
+  fs::remove_all(dir);
 }
 
 TEST(FlightRecorder, DigestNamesTheTailEvents) {

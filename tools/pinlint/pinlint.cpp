@@ -32,9 +32,9 @@
 //       be incremented somewhere under src/ and serialized by
 //       core/report.cpp (and only declared counters may be serialized).
 //   D5  obs::Event kind exhaustiveness: every EventKind enumerator must be
-//       rendered by obs/legacy.cpp (the single formatting authority), and
-//       every switch over EventKind anywhere must be exhaustive or carry a
-//       default label.
+//       named by event_kind_name in obs/event.cpp (the one naming
+//       authority), and every switch over EventKind anywhere must be
+//       exhaustive or carry a default label.
 //   D6  header hygiene: #pragma once, no `using namespace` in headers, and
 //       include-self-sufficiency spot checks for common std:: types.
 //   D7  callback lifetime (src/ only): a lambda handed to the engine
@@ -859,20 +859,20 @@ void Linter::check_d5() {
   if (kinds.empty()) return;
   const std::set<std::string> kind_set(kinds.begin(), kinds.end());
 
-  // (a) The single formatting authority must render every kind.
-  if (SourceFile* legacy = find_rel("src/obs/legacy.cpp")) {
+  // (a) The naming authority must name every kind.
+  if (SourceFile* names = find_rel("src/obs/event.cpp")) {
     std::set<std::string> seen;
-    for (const auto& tok : legacy->tokens) {
+    for (const auto& tok : names->tokens) {
       if (tok.kind == Tok::kIdent && kind_set.count(tok.text) != 0) {
         seen.insert(tok.text);
       }
     }
     for (const auto& k : kinds) {
       if (seen.count(k) == 0) {
-        diags_.push_back({legacy->rel, 1, "D5",
+        diags_.push_back({names->rel, 1, "D5",
                           "EventKind::" + k +
-                              " is never rendered by obs/legacy.cpp — every "
-                              "kind needs a legacy string form"});
+                              " is never rendered by obs/event.cpp — "
+                              "event_kind_name must name every kind"});
       }
     }
   }

@@ -1,6 +1,6 @@
-// pinlint fixture: the formatting authority renders kA and kB but forgot
-// kC. The switch itself has a default, so only the rendering rule fires
-// here. Never compiled.
+// pinlint fixture: the naming authority names kA and kB but forgot kC.
+// The switch itself has a default, so only the naming rule fires here.
+// Never compiled.
 #include "event.hpp"
 
 const char* event_kind_name(EventKind k) {
