@@ -58,9 +58,7 @@ struct Cluster {
   Cluster(const cpu::CpuModel& cpu, core::StackConfig stack,
           net::Topology::Config tc, std::size_t num_hosts, std::size_t cores,
           std::size_t memory_frames) {
-    auto t = std::make_unique<net::Topology>(eng, tc);
-    topo = t.get();
-    fabric = std::move(t);
+    fabric = std::make_unique<net::Topology>(eng, tc);
     core::Host::Config hc;
     hc.cpu = cpu;
     hc.cores = cores;
@@ -73,7 +71,6 @@ struct Cluster {
 
   sim::Engine eng;
   std::unique_ptr<net::Fabric> fabric;
-  net::Topology* topo = nullptr;  // non-null on the cluster-scale ctor
   std::vector<std::unique_ptr<core::Host>> hosts;
   std::unique_ptr<mpi::Communicator> comm;
 };
@@ -209,8 +206,8 @@ struct ObsRig {
     return false;
   }
 
-  /// One JSON object for the whole run: per-endpoint protocol counters plus
-  /// the latency/size histograms.
+  /// One JSON object for the whole run: per-endpoint protocol counters,
+  /// the fabric-wide drop totals, and the latency/size histograms.
   [[nodiscard]] std::string json_report() {
     std::string out = "{\"endpoints\":[";
     bool first = true;
@@ -222,7 +219,11 @@ struct ObsRig {
         out += core::format_json_report(h->process(i), *h);
       }
     }
-    out += "],\"histograms\":";
+    out += "],\"fabric\":{\"fault_dropped\":" +
+           std::to_string(cluster->fabric->fault_dropped()) +
+           ",\"congestion_dropped\":" +
+           std::to_string(cluster->fabric->congestion_dropped()) +
+           "},\"histograms\":";
     out += latency.json();
     out += ",\"critical_path\":";
     out += critical_path.json();
@@ -268,21 +269,8 @@ struct ObsRig {
   /// Meaningful after `finish()`; safe to print any time.
   [[nodiscard]] std::string digest() const { return critical_path.digest(); }
 
-  /// Writes `json_report()` to `path`; returns false (with a warning) on
-  /// I/O failure — a failed report dump must never fail the run.
-  bool write_report(const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "warning: cannot write run report %s\n",
-                   path.c_str());
-      return false;
-    }
-    const std::string body = json_report();
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    return true;
-  }
+  /// Writes `json_report()` to `path` (see bench::write_report).
+  bool write_report(const std::string& path);
 
   Cluster* cluster;
   obs::Bus bus;
@@ -333,6 +321,25 @@ struct ObsRig {
     cluster->fabric->set_bus(nullptr);
   }
 };
+
+/// Writes a run report body to `path`; returns false (with a warning) on
+/// I/O failure — a failed report dump must never fail the run.
+inline bool write_report(const std::string& path, const std::string& body) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "warning: cannot write run report %s\n",
+                 path.c_str());
+    return false;
+  }
+  std::fwrite(body.data(), 1, body.size(), f);
+  std::fputc('\n', f);
+  std::fclose(f);
+  return true;
+}
+
+inline bool ObsRig::write_report(const std::string& path) {
+  return bench::write_report(path, json_report());
+}
 
 /// Emits one CSV row (series name per column) for gnuplot/matplotlib.
 inline void csv_row(std::size_t bytes, const std::vector<double>& values) {

@@ -8,7 +8,7 @@
 # files when those tools exist).
 #
 #   scripts/ci.sh           # default + asan tiers (default includes pinlint)
-#   scripts/ci.sh --soak    # ... plus the full chaos/pressure/crash soaks
+#   scripts/ci.sh --soak    # ... plus the full-length soak families
 #   scripts/ci.sh --perf    # ... plus the perf gate (needs python3)
 #   scripts/ci.sh --lint    # ... plus the clang-format/clang-tidy sweep
 set -euo pipefail
@@ -155,7 +155,7 @@ fi
 #     numbers vary with the machine, so the tolerance is generous and
 #     overridable via PINSIM_PERF_TPUT_TOL (relative drop, default 0.5);
 #  3. against the committed BENCH_pr8.json, the first point carrying the
-#     cluster-soak stages and their tenant_fairness digests — this is where
+#     cluster soak rows and their tenant_fairness digests — this is where
 #     Jain-index drops gate.
 # The tier also runs the profiler-overhead smoke: an instrumented fig6 run
 # (dispatch profiler + flight recorder + trace sinks attached) must stay
@@ -175,17 +175,18 @@ perf_tier() {
   ./build/bench/fig7_decoupled --quick --trace-out="${out}_fig7" > /dev/null
   ./build/bench/overlap_miss --quick --trace-out="${out}_overlap_miss" \
     > /dev/null
-  # Cluster soak: one report per stage (uniform / incast / composed), each
-  # carrying the tenant_fairness digest the compare gate watches for
+  # Cluster soak family: one report per row (uniform / incast / composed),
+  # each carrying the tenant_fairness digest the compare gate watches for
   # Jain-index drops.
-  ./build/bench/cluster_soak --quick --trace-out="${out}_cluster" > /dev/null
+  ./build/bench/soak --quick --family=cluster --trace-out="${out}_soak" \
+    > /dev/null
   python3 scripts/bench_compare.py collect --label ci --out build/BENCH_ci.json \
     fig6="${out}_fig6.report.json" \
     fig7="${out}_fig7.report.json" \
     overlap_miss="${out}_overlap_miss.report.json" \
-    cluster_uniform="${out}_cluster-s0.report.json" \
-    cluster_incast="${out}_cluster-s1.report.json" \
-    cluster_composed="${out}_cluster-s2.report.json"
+    cluster_uniform="${out}_soak-cluster-s0.report.json" \
+    cluster_incast="${out}_soak-cluster-s1.report.json" \
+    cluster_composed="${out}_soak-cluster-s2.report.json"
   local failed=0
   if ! python3 scripts/profiler_overhead.py \
       --bench build/bench/fig6_pingpong_pinning \

@@ -108,10 +108,6 @@ std::string format_report(Host::Process& p, Host& host) {
   } else {
     line(out, "  host pinned pages now: %zu", host.memory().pinned_pages());
   }
-  line(out, "  fabric drops: fault=%llu congestion=%llu",
-       static_cast<unsigned long long>(host.nic().fabric().fault_dropped()),
-       static_cast<unsigned long long>(
-           host.nic().fabric().congestion_dropped()));
   return out;
 }
 
@@ -192,28 +188,8 @@ std::string format_json_report(Host::Process& p, Host& host) {
     field("host_pin_quota", host.memory().pin_quota());
     field("host_quota_denials", host.memory().quota_denials());
   }
-  field("fabric_fault_dropped", host.nic().fabric().fault_dropped());
-  field("fabric_congestion_dropped",
-        host.nic().fabric().congestion_dropped());
   out += '}';
   return out;
-}
-
-std::string format_summary_line(Host::Process& p) {
-  const Counters& c = p.lib.counters();
-  char buf[192];
-  std::snprintf(buf, sizeof buf,
-                "ep%u: %llu msgs (%llu rndv), %llu pages pinned, "
-                "%llu misses, cache %llu/%llu",
-                static_cast<unsigned>(p.ep.id()),
-                static_cast<unsigned long long>(c.eager_sent + c.rndv_sent),
-                static_cast<unsigned long long>(c.rndv_sent),
-                static_cast<unsigned long long>(c.pages_pinned),
-                static_cast<unsigned long long>(c.overlap_misses),
-                static_cast<unsigned long long>(p.lib.cache().stats().hits),
-                static_cast<unsigned long long>(
-                    p.lib.cache().stats().misses));
-  return buf;
 }
 
 }  // namespace pinsim::core

@@ -12,9 +12,6 @@ namespace pinsim::core {
 /// printf choreography.
 [[nodiscard]] std::string format_report(Host::Process& process, Host& host);
 
-/// One-line summary (throughput-style dashboards).
-[[nodiscard]] std::string format_summary_line(Host::Process& process);
-
 /// Machine-readable twin of `format_report`: one JSON object with the same
 /// counters, suitable for embedding in a run report next to the obs-layer
 /// latency histograms. The string is a complete object (no trailing comma).

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/host.hpp"
+#include "net/fault.hpp"
 
 namespace pinsim::mpi {
 namespace {
@@ -49,6 +50,38 @@ class MpiTest : public ::testing::Test {
     std::vector<std::int32_t> vals(count);
     std::memcpy(vals.data(), raw.data(), raw.size());
     return vals;
+  }
+
+  /// Every rank sends a distinct 64 kB block to every rank, itself
+  /// included; every received int must be bit-exact.
+  void alltoallv_bit_exact() {
+    const std::size_t block = 64 * 1024;
+    const std::size_t ints = block / 4;
+    const auto value = [](int to, int from, std::size_t i) {
+      return to * 100 + from + int(i) * 1000;
+    };
+    std::vector<mem::VirtAddr> src(4), dst(4);
+    std::vector<std::size_t> counts(4, block), displs(4);
+    for (std::size_t r = 0; r < 4; ++r) displs[r] = block * r;
+    for (int r = 0; r < 4; ++r) {
+      src[static_cast<size_t>(r)] = make_ints(r, 4 * ints, [&](std::size_t i) {
+        return value(int(i / ints), r, i % ints);
+      });
+      dst[static_cast<size_t>(r)] = comm_->process(r).heap.malloc(4 * block);
+    }
+    run_ranks(eng_, 4, [&](int me) -> sim::Task<> {
+      co_await comm_->alltoallv(me, src[static_cast<size_t>(me)], counts,
+                                displs, dst[static_cast<size_t>(me)], counts,
+                                displs);
+    });
+    for (int r = 0; r < 4; ++r) {
+      const auto got = read_ints(r, dst[static_cast<size_t>(r)], 4 * ints);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        const int from = int(i / ints);
+        ASSERT_EQ(got[i], value(r, from, i % ints))
+            << "rank " << r << " from " << from << " int " << i % ints;
+      }
+    }
   }
 
   sim::Engine eng_;
@@ -265,28 +298,26 @@ TEST_F(MpiTest, ReduceScatterDistributesReducedBlocks) {
 
 TEST_F(MpiTest, AlltoallvExchangesBlocks) {
   build(4);
-  const std::size_t block = 64 * 1024;
-  std::vector<mem::VirtAddr> src(4), dst(4);
-  std::vector<std::size_t> counts(4, block), displs(4);
-  for (int r = 0; r < 4; ++r) displs[static_cast<size_t>(r)] = block * static_cast<size_t>(r);
-  for (int r = 0; r < 4; ++r) {
-    const auto ri = static_cast<size_t>(r);
-    src[ri] = make_ints(r, block, [r](std::size_t i) {
-      return int(i / (64 * 1024 / 4)) * 100 + r;  // dest rank * 100 + me
-    });
-    dst[ri] = comm_->process(r).heap.malloc(4 * block);
-  }
-  run_ranks(eng_, 4, [&](int me) -> sim::Task<> {
-    co_await comm_->alltoallv(me, src[static_cast<size_t>(me)], counts, displs,
-                              dst[static_cast<size_t>(me)], counts, displs);
-  });
-  for (int r = 0; r < 4; ++r) {
-    for (int from = 0; from < 4; ++from) {
-      auto got = read_ints(
-          r, dst[static_cast<size_t>(r)] + block * static_cast<size_t>(from), 1);
-      ASSERT_EQ(got[0], r * 100 + from) << "rank " << r << " from " << from;
-    }
-  }
+  alltoallv_bit_exact();
+}
+
+TEST_F(MpiTest, AlltoallvExchangesBlocksUnderFaults) {
+  // The chaos soak's mixed fault plan (5% loss, 2% corruption, 2%
+  // duplication, 5% reordering) with the soak's short protocol timers.
+  core::StackConfig stack = core::overlapped_cache_config();
+  stack.protocol.retransmit_timeout = 300 * sim::kMicrosecond;
+  stack.protocol.retransmit_backoff_max = 10 * sim::kMillisecond;
+  stack.protocol.pull_retry_timeout = 300 * sim::kMicrosecond;
+  build(4, stack);
+  net::FaultPlan mixed;
+  mixed.loss = 0.05;
+  mixed.corrupt = 0.02;
+  mixed.duplicate = 0.02;
+  mixed.reorder = 0.05;
+  fabric_->faults().set_plan(mixed);
+  alltoallv_bit_exact();
+  const auto& fs = fabric_->faults().stats();  // the faults must have bitten
+  EXPECT_GT(fs.drops + fs.corruptions + fs.duplicates + fs.reorders, 0u);
 }
 
 TEST_F(MpiTest, BackToBackCollectivesDoNotCrossTalk) {
