@@ -173,6 +173,42 @@ void Driver::on_peer_status(net::NodeId peer, bool alive) {
   }
 }
 
+void Driver::drop_undecodable(const net::Frame& frame, bool checksum) {
+  if (relay_.active()) {
+    obs::Event e;
+    e.kind = checksum ? obs::EventKind::kPktChecksumDrop
+                      : obs::EventKind::kPktMalformed;
+    e.node = node();
+    e.peer = frame.src;
+    relay_.emit(e);
+  }
+  // The header may itself be corrupted, so the dst_ep lookup for counter
+  // attribution is best-effort only — the frame is dropped either way and
+  // retransmission recovers.
+  if (frame.payload.size() >= 3) {
+    const auto ep_id = static_cast<std::uint8_t>(frame.payload[2]);
+    if (Endpoint* ep = endpoint(ep_id); ep != nullptr) {
+      ++ep->counters().frames_corrupted;
+      if (checksum) ++ep->counters().checksum_drops;
+    }
+  }
+}
+
+void Driver::fence(Endpoint& ep, net::NodeId src, const PacketHeader& h,
+                   std::uint8_t epoch) {
+  ++ep.counters().fenced_stale_frames;
+  if (relay_.active()) {
+    obs::Event e;
+    e.kind = obs::EventKind::kLifeFence;
+    e.node = node();
+    e.ep = h.dst_ep;
+    e.peer = src;
+    e.peer_ep = h.src_ep;
+    e.seq = epoch;
+    relay_.emit(e);
+  }
+}
+
 void Driver::on_frame(net::Frame&& frame) {
   // Watchdog control traffic never enters the MXoE decoder (its first byte
   // is outside the PacketType range and would throw).
@@ -186,39 +222,11 @@ void Driver::on_frame(net::Frame&& frame) {
     // throw the payload is untouched for the attribution paths below.
     pkt = decode_frame(frame);
   } catch (const WireChecksumError&) {
-    // Bit-flipped in flight. The header may itself be corrupted, so the
-    // dst_ep lookup for counter attribution is best-effort only — the frame
-    // is dropped either way and retransmission recovers.
-    if (relay_.active()) {
-      obs::Event e;
-      e.kind = obs::EventKind::kPktChecksumDrop;
-      e.node = node();
-      e.peer = frame.src;
-      relay_.emit(e);
-    }
-    if (frame.payload.size() >= 3) {
-      const auto ep_id = static_cast<std::uint8_t>(frame.payload[2]);
-      if (Endpoint* ep = endpoint(ep_id); ep != nullptr) {
-        ++ep->counters().frames_corrupted;
-        ++ep->counters().checksum_drops;
-      }
-    }
+    drop_undecodable(frame, /*checksum=*/true);  // bit-flipped in flight
     return;
   } catch (const WireFormatError&) {
-    if (relay_.active()) {
-      obs::Event e;
-      e.kind = obs::EventKind::kPktMalformed;
-      e.node = node();
-      e.peer = frame.src;
-      relay_.emit(e);
-    }
-    if (frame.payload.size() >= 3) {
-      const auto ep_id = static_cast<std::uint8_t>(frame.payload[2]);
-      if (Endpoint* ep = endpoint(ep_id); ep != nullptr) {
-        ++ep->counters().frames_corrupted;
-      }
-    }
-    return;  // malformed frame: dropped, retransmission recovers
+    drop_undecodable(frame, /*checksum=*/false);
+    return;
   }
   if (relay_.active()) {
     obs::Event e;
@@ -242,17 +250,7 @@ void Driver::on_frame(net::Frame&& frame) {
     // learned our epoch before a close/restart. Drop it — the data, seq and
     // handle spaces all restarted with the new incarnation.
     if (h.dst_epoch != 0 && h.dst_epoch != slots_[h.dst_ep].epoch) {
-      ++ep->counters().fenced_stale_frames;
-      if (relay_.active()) {
-        obs::Event e;
-        e.kind = obs::EventKind::kLifeFence;
-        e.node = node();
-        e.ep = h.dst_ep;
-        e.peer = frame.src;
-        e.peer_ep = h.src_ep;
-        e.seq = h.dst_epoch;
-        relay_.emit(e);
-      }
+      fence(*ep, frame.src, h, h.dst_epoch);
       return;
     }
     // Learn the sender's incarnation; fence frames from one we know died.
@@ -267,17 +265,7 @@ void Driver::on_frame(net::Frame&& frame) {
           closed_peer_slots_.erase(key);
           on_peer_epoch_change(frame.src, h.src_ep);
         } else {
-          ++ep->counters().fenced_stale_frames;
-          if (relay_.active()) {
-            obs::Event e;
-            e.kind = obs::EventKind::kLifeFence;
-            e.node = node();
-            e.ep = h.dst_ep;
-            e.peer = frame.src;
-            e.peer_ep = h.src_ep;
-            e.seq = h.src_epoch;
-            relay_.emit(e);
-          }
+          fence(*ep, frame.src, h, h.src_epoch);
           return;
         }
       }

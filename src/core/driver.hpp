@@ -112,6 +112,12 @@ class Driver {
   };
 
   void on_frame(net::Frame&& frame);
+  /// Drops a frame that failed to decode (`checksum`: bit-flipped in
+  /// flight; otherwise malformed), counting it against its endpoint.
+  void drop_undecodable(const net::Frame& frame, bool checksum);
+  /// Drops a frame fenced by incarnation: `epoch` is the stale one it bore.
+  void fence(Endpoint& ep, net::NodeId src, const PacketHeader& h,
+             std::uint8_t epoch);
 
   /// Wrap-safe "is incarnation a newer than b" (serial-number arithmetic on
   /// the 1..255 epoch ring; both args nonzero).

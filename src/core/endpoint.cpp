@@ -24,14 +24,22 @@ struct EndpointNotifier final : mem::MmuNotifier {
   bool address_space_alive = true;
 };
 
-/// Shorthand for building a typed event at an emission site.
-obs::Event ev(obs::EventKind kind) {
-  obs::Event e;
-  e.kind = kind;
-  return e;
-}
-
 }  // namespace
+
+template <typename SendPred, typename PullPred>
+void Endpoint::fail_matching(SendPred send_pred, PullPred pull_pred,
+                             bool send_abort, bool peer_dead) {
+  std::vector<std::uint32_t> ids;
+  for (const auto& [seq, req] : sends_) {
+    if (send_pred(*req)) ids.push_back(seq);
+  }
+  for (std::uint32_t seq : ids) fail_send(seq, send_abort, peer_dead);
+  ids.clear();
+  for (const auto& [handle, ps] : pulls_) {
+    if (pull_pred(*ps)) ids.push_back(handle);
+  }
+  for (std::uint32_t handle : ids) fail_pull(handle, send_abort, peer_dead);
+}
 
 Endpoint::Endpoint(Driver& driver, std::uint8_t id, mem::AddressSpace& as,
                    cpu::Core& process_core)
@@ -47,38 +55,15 @@ Endpoint::Endpoint(Driver& driver, std::uint8_t id, mem::AddressSpace& as,
   notifier_ = std::move(notifier);
 
   pins_.set_failure_handler([this](Region& r) {
-    // Abort every in-flight request still using this region. The tables
-    // iterate in ascending seq order (flat maps), which is the order the
-    // abort packets and their event emissions must leave in for replays to
-    // be bit-exact; collect the keys first because fail_send/destroy_pull
-    // erase entries mid-walk.
-    std::vector<std::uint32_t> dead_sends;
-    for (auto& [seq, req] : sends_) {
-      if (!req->eager && req->region == r.id()) dead_sends.push_back(seq);
-    }
-    for (std::uint32_t seq : dead_sends) fail_send(seq, /*send_abort=*/true);
-
-    std::vector<std::uint32_t> dead_pulls;
-    for (auto& [handle, ps] : pulls_) {
-      if (ps->region == &r && !ps->done) dead_pulls.push_back(handle);
-    }
-    for (std::uint32_t handle : dead_pulls) {
-      auto it = pulls_.find(handle);
-      if (it == pulls_.end()) continue;  // torn down by an earlier abort
-      PullState& ps = *it->second;
-      ++counters_.aborts;
-      send_packet({ps.peer_node, ps.peer_ep}, AbortBody{ps.sender_seq},
-                  cpu::Priority::kKernel);
-      ps.region->drop_use();
-      obs::Event e = ev(obs::EventKind::kRecvAbort);
-      e.seq = handle;
-      e.offset = ps.sender_seq;
-      e.peer = ps.peer_node;
-      e.peer_ep = ps.peer_ep;
-      obs_emit(e);
-      complete_recv(ps.recv, Status{false, false, 0});
-      destroy_pull(handle);
-    }
+    // Abort every in-flight request still using this region, telling each
+    // peer. The ascending-id order is the order the abort packets and their
+    // events must leave in for replays to be bit-exact.
+    fail_matching(
+        [&r](const SendRequest& req) {
+          return !req.eager && req.region == r.id();
+        },
+        [&r](const PullState& ps) { return ps.region == &r && !ps.done; },
+        /*send_abort=*/true, /*peer_dead=*/false);
   });
 }
 
@@ -156,9 +141,7 @@ Region* Endpoint::find_region(RegionId id) {
 std::uint32_t Endpoint::isend_eager(EndpointAddr dest, std::uint64_t match,
                                     mem::VirtAddr buf, std::size_t len,
                                     Completion done) {
-  std::vector<Segment> segs;
-  if (len > 0) segs.push_back(Segment{buf, len});
-  return isend_eager(dest, match, std::move(segs), std::move(done));
+  return isend_eager(dest, match, segments_of(buf, len), std::move(done));
 }
 
 std::uint32_t Endpoint::isend_eager(EndpointAddr dest, std::uint64_t match,
@@ -187,14 +170,7 @@ std::uint32_t Endpoint::isend_eager(EndpointAddr dest, std::uint64_t match,
   req.len = req.eager_data.size();
   const std::size_t len = req.len;
   ++counters_.eager_sent;
-  {
-    obs::Event e = ev(obs::EventKind::kEagerPost);
-    e.seq = seq;
-    e.peer = dest.node;
-    e.peer_ep = dest.ep;
-    e.len = len;
-    obs_emit(e);
-  }
+  emit_request(obs::EventKind::kEagerPost, seq, dest, 0, len);
   sends_.emplace(seq, std::move(node));
   // The kernel-side copy into frames costs CPU on the submitting core.
   process_core_.submit(cpu::Priority::kKernel, driver_.cpu().copy_cost(len),
@@ -247,15 +223,7 @@ std::uint32_t Endpoint::isend_rndv(EndpointAddr dest, std::uint64_t match,
   req.done = std::move(done);
   region->add_use();
   ++counters_.rndv_sent;
-  {
-    obs::Event e = ev(obs::EventKind::kRndvPost);
-    e.seq = seq;
-    e.peer = dest.node;
-    e.peer_ep = dest.ep;
-    e.region = region_id;
-    e.len = len;
-    obs_emit(e);
-  }
+  emit_request(obs::EventKind::kRndvPost, seq, dest, 0, len, region_id);
   sends_.emplace(seq, std::move(node));
 
   // Pin per configuration: with overlapping the completion fires right away
@@ -304,14 +272,8 @@ void Endpoint::arm_send_rto(SendRequest& req) {
         SendRequest& r = *it->second;
         ++counters_.retransmit_timeouts;
         ++r.retries;
-        {
-          obs::Event e = ev(obs::EventKind::kRetransmit);
-          e.seq = seq;
-          e.peer = r.dest.node;
-          e.peer_ep = r.dest.ep;
-          e.offset = static_cast<std::uint64_t>(r.retries);
-          obs_emit(e);
-        }
+        emit_request(obs::EventKind::kRetransmit, seq, r.dest,
+                     static_cast<std::uint64_t>(r.retries));
         if (r.retries > driver_.config().protocol.retry_budget) {
           // Budget exhausted: give up gracefully instead of hammering a
           // peer that is clearly not answering.
@@ -340,13 +302,7 @@ void Endpoint::fail_send(std::uint32_t seq, bool send_abort, bool peer_dead) {
   SendRequest& req = *node;
   driver_.engine().cancel(req.rto);
   ++counters_.aborts;
-  {
-    obs::Event e = ev(obs::EventKind::kSendAbort);
-    e.seq = seq;
-    e.peer = req.dest.node;
-    e.peer_ep = req.dest.ep;
-    obs_emit(e);
-  }
+  emit_request(obs::EventKind::kSendAbort, seq, req.dest);
   if (send_abort) {
     send_packet(req.dest, AbortBody{seq}, cpu::Priority::kKernel);
   }
@@ -356,7 +312,21 @@ void Endpoint::fail_send(std::uint32_t seq, bool send_abort, bool peer_dead) {
   req.done(Status{false, false, 0, peer_dead});
 }
 
-void Endpoint::fail_pull(std::uint32_t handle, bool peer_dead) {
+void Endpoint::complete_send(std::uint32_t seq) {
+  auto it = sends_.find(seq);
+  auto node = std::move(it->second);
+  sends_.erase(it);
+  SendRequest& req = *node;
+  driver_.engine().cancel(req.rto);
+  if (Region* r = find_region(req.region); r != nullptr) r->drop_use();
+  emit_request(obs::EventKind::kSendDone, seq, req.dest, 0, req.len);
+  req.done(Status{true, false, req.len});
+}
+
+void Endpoint::fail_pull(std::uint32_t handle, bool send_abort,
+                         bool peer_dead) {
+  // The pooled node keeps `p` valid while the completion below runs user
+  // code that may insert into pulls_.
   auto it = pulls_.find(handle);
   if (it == pulls_.end()) return;
   PullState& p = *it->second;
@@ -367,28 +337,18 @@ void Endpoint::fail_pull(std::uint32_t handle, bool peer_dead) {
     return;
   }
   ++counters_.aborts;
+  if (send_abort) {
+    send_packet(p.peer(), AbortBody{p.sender_seq}, cpu::Priority::kKernel);
+  }
   if (p.region != nullptr) p.region->drop_use();
-  obs::Event e = ev(obs::EventKind::kRecvAbort);
-  e.seq = handle;
-  e.offset = p.sender_seq;
-  e.peer = p.peer_node;
-  e.peer_ep = p.peer_ep;
-  obs_emit(e);
+  emit_request(obs::EventKind::kRecvAbort, handle, p.peer(), p.sender_seq);
   complete_recv(p.recv, Status{false, false, 0, peer_dead});
   destroy_pull(handle);
 }
 
 void Endpoint::fail_all_inflight() {
-  // Ascending-id walks with the keys collected first: fail_send/fail_pull
-  // erase entries and run user completions that may re-enter the tables.
-  std::vector<std::uint32_t> seqs;
-  for (const auto& [seq, req] : sends_) seqs.push_back(seq);
-  for (std::uint32_t seq : seqs) fail_send(seq, /*send_abort=*/false);
-
-  std::vector<std::uint32_t> handles;
-  for (const auto& [handle, ps] : pulls_) handles.push_back(handle);
-  for (std::uint32_t handle : handles) fail_pull(handle, /*peer_dead=*/false);
-
+  const auto all = [](const auto&) { return true; };
+  fail_matching(all, all, /*send_abort=*/false, /*peer_dead=*/false);
   while (!posted_.empty()) {
     RecvRequest recv = std::move(posted_.front());
     posted_.pop_front();
@@ -398,24 +358,14 @@ void Endpoint::fail_all_inflight() {
 }
 
 void Endpoint::fail_requests_to(net::NodeId node, int peer_ep) {
-  std::vector<std::uint32_t> seqs;
-  for (const auto& [seq, req] : sends_) {
-    if (req->dest.node == node &&
-        (peer_ep < 0 || req->dest.ep == static_cast<std::uint8_t>(peer_ep))) {
-      seqs.push_back(seq);
-    }
-  }
-  for (std::uint32_t seq : seqs) {
-    fail_send(seq, /*send_abort=*/false, /*peer_dead=*/true);
-  }
-  std::vector<std::uint32_t> handles;
-  for (const auto& [handle, ps] : pulls_) {
-    if (ps->peer_node == node &&
-        (peer_ep < 0 || ps->peer_ep == static_cast<std::uint8_t>(peer_ep))) {
-      handles.push_back(handle);
-    }
-  }
-  for (std::uint32_t handle : handles) fail_pull(handle, /*peer_dead=*/true);
+  const auto to = [node, peer_ep](net::NodeId n, std::uint8_t ep) {
+    return n == node &&
+           (peer_ep < 0 || ep == static_cast<std::uint8_t>(peer_ep));
+  };
+  fail_matching(
+      [&to](const SendRequest& req) { return to(req.dest.node, req.dest.ep); },
+      [&to](const PullState& ps) { return to(ps.peer_node, ps.peer_ep); },
+      /*send_abort=*/false, /*peer_dead=*/true);
 }
 
 void Endpoint::on_peer_restarted(net::NodeId node, std::uint8_t peer_ep) {
@@ -445,9 +395,7 @@ std::uint64_t Endpoint::irecv(std::uint64_t match, std::uint64_t mask,
                               mem::VirtAddr buf, std::size_t len,
                               RegionId region, Completion done,
                               bool blocking_hint) {
-  std::vector<Segment> segs;
-  if (len > 0) segs.push_back(Segment{buf, len});
-  return irecv(match, mask, std::move(segs), region, std::move(done),
+  return irecv(match, mask, segments_of(buf, len), region, std::move(done),
                blocking_hint);
 }
 
@@ -526,7 +474,7 @@ void Endpoint::handle_packet(net::NodeId src_node, Packet&& pkt) {
         } else if constexpr (std::is_same_v<T, NotifyBody>) {
           on_notify(src_node, src_ep, body);
         } else if constexpr (std::is_same_v<T, NotifyAckBody>) {
-          on_notify_ack(body);
+          on_notify_ack(src_node, src_ep, body);
         } else if constexpr (std::is_same_v<T, AbortBody>) {
           on_abort(src_node, src_ep, body);
         }
@@ -539,7 +487,7 @@ void Endpoint::handle_packet(net::NodeId src_node, Packet&& pkt) {
 void Endpoint::on_eager(net::NodeId src, std::uint8_t src_ep,
                         EagerBody&& body) {
   const std::uint64_t key = inbound_key(src, src_ep, body.seq, false);
-  if (is_completed(key)) {
+  if (completed_.contains(key)) {
     // Retransmission of a message we already delivered: re-ack (the ack was
     // probably lost) but never touch the user buffer again.
     ++counters_.duplicate_frames;
@@ -551,15 +499,8 @@ void Endpoint::on_eager(net::NodeId src, std::uint8_t src_ep,
 
   // Find (or create) the reassembly record; matching happens on the first
   // fragment so message order is fixed by arrival order.
-  InboundMsg* msg = nullptr;
-  for (auto& m : inbound_) {
-    if (!m.rndv && m.peer_node == src && m.peer_ep == src_ep &&
-        m.seq == body.seq) {
-      msg = &m;
-      break;
-    }
-  }
-  if (msg == nullptr) {
+  auto msg = find_inbound(false, src, src_ep, body.seq);
+  if (msg == inbound_.end()) {
     InboundMsg m;
     m.rndv = false;
     m.peer_node = src;
@@ -567,17 +508,9 @@ void Endpoint::on_eager(net::NodeId src, std::uint8_t src_ep,
     m.seq = body.seq;
     m.match = body.match;
     m.msg_len = body.msg_len;
-    for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-      if (match_ok(*it, body.match)) {
-        m.bound = true;
-        m.recv = std::move(*it);
-        posted_.erase(it);
-        break;
-      }
-    }
+    m.bound = take_posted(body.match, m.recv);
     if (!m.bound) m.kernel_buffer.resize(m.msg_len);
-    inbound_.push_back(std::move(m));
-    msg = &inbound_.back();
+    msg = inbound_.insert(inbound_.end(), std::move(m));
   }
 
   if (msg->frags_seen.count(body.frag_offset) != 0) {
@@ -599,29 +532,23 @@ void Endpoint::eager_deliver_frag(InboundMsg& msg, std::uint32_t frag_offset,
                      data = std::move(data)]() mutable {
     // Re-find the record: it may have completed/vanished while the copy
     // cost was accruing (e.g. duplicate path).
-    for (auto& m : inbound_) {
-      if (m.rndv || m.peer_node != peer || m.peer_ep != peer_ep ||
-          m.seq != seq) {
-        continue;
-      }
-      if (m.bound && m.kernel_buffer.empty()) {
-        // Matched before the first fragment arrived: copy directly into the
-        // user buffer (bounded by the posted size).
-        scatter_to_user(m.recv, frag_offset, data);
-      } else {
-        // Started as unexpected: every fragment stays in the kernel staging
-        // buffer, even if an irecv bound the message mid-reassembly, so the
-        // final staged copy delivers a consistent whole. A zero-length
-        // message has no bytes (and a null data pointer) to copy.
-        if (!data.empty()) {
-          std::memcpy(m.kernel_buffer.data() + frag_offset, data.data(),
-                      data.size());
-        }
-      }
-      m.bytes_received += data.size();
-      if (m.bytes_received >= m.msg_len) finish_eager_inbound(m);
-      return;
+    auto it = find_inbound(false, peer, peer_ep, seq);
+    if (it == inbound_.end()) return;
+    InboundMsg& m = *it;
+    if (m.bound && m.kernel_buffer.empty()) {
+      // Matched before the first fragment arrived: copy directly into the
+      // user buffer (bounded by the posted size).
+      scatter_to_user(m.recv, frag_offset, data);
+    } else if (!data.empty()) {
+      // Started as unexpected: every fragment stays in the kernel staging
+      // buffer, even if an irecv bound the message mid-reassembly, so the
+      // final staged copy delivers a consistent whole. A zero-length
+      // message has no bytes (and a null data pointer) to copy.
+      std::memcpy(m.kernel_buffer.data() + frag_offset, data.data(),
+                  data.size());
     }
+    m.bytes_received += data.size();
+    if (m.bytes_received >= m.msg_len) finish_eager_inbound(m);
   });
 }
 
@@ -632,36 +559,27 @@ void Endpoint::finish_eager_inbound(InboundMsg& msg) {
                 cpu::Priority::kBottomHalf);
   }
 
-  if (msg.bound) {
-    const bool trunc = msg.msg_len > msg.recv.total_len;
-    const std::size_t delivered = std::min(msg.msg_len, msg.recv.total_len);
-    if (!msg.kernel_buffer.empty()) {
-      // Was unexpected when it started arriving: one more copy from the
-      // kernel staging buffer into the user buffer.
-      const RecvRequest recv = msg.recv;
-      std::vector<std::byte> staged = std::move(msg.kernel_buffer);
-      remember_completed(
-          inbound_key(msg.peer_node, msg.peer_ep, msg.seq, false));
-      erase_inbound(msg);
-      charge_rx_copy(delivered,
-                     [this, recv, staged = std::move(staged), delivered,
-                      trunc]() mutable {
-                       scatter_to_user(recv, 0,
-                                       std::span<const std::byte>(
-                                           staged.data(), delivered));
-                       complete_recv(recv, Status{true, trunc, delivered});
-                     });
-      return;
-    }
-    const RecvRequest recv = msg.recv;
-    remember_completed(
-        inbound_key(msg.peer_node, msg.peer_ep, msg.seq, false));
-    erase_inbound(msg);
+  // Unexpected and complete: wait in the inbound list for a matching irecv.
+  // (finish runs again, on the bound path, when irecv binds it.)
+  if (!msg.bound) return;
+  const bool trunc = msg.msg_len > msg.recv.total_len;
+  const std::size_t delivered = std::min(msg.msg_len, msg.recv.total_len);
+  const RecvRequest recv = msg.recv;
+  std::vector<std::byte> staged = std::move(msg.kernel_buffer);
+  completed_.insert(inbound_key(msg.peer_node, msg.peer_ep, msg.seq, false));
+  erase_inbound(msg);
+  if (staged.empty()) {
     complete_recv(recv, Status{true, trunc, delivered});
     return;
   }
-  // Unexpected and complete: wait in the inbound list for a matching irecv.
-  // (finish runs again, on the bound path, when irecv binds it.)
+  // Was unexpected when it started arriving: one more copy from the kernel
+  // staging buffer into the user buffer.
+  charge_rx_copy(delivered, [this, recv, staged = std::move(staged), delivered,
+                             trunc]() mutable {
+    scatter_to_user(recv, 0,
+                    std::span<const std::byte>(staged.data(), delivered));
+    complete_recv(recv, Status{true, trunc, delivered});
+  });
 }
 
 void Endpoint::scatter_to_user(const RecvRequest& recv, std::size_t offset,
@@ -686,6 +604,53 @@ void Endpoint::scatter_to_user(const RecvRequest& recv, std::size_t offset,
   }
 }
 
+std::list<Endpoint::InboundMsg>::iterator Endpoint::find_inbound(
+    bool rndv, net::NodeId node, std::uint8_t ep, std::uint32_t seq) {
+  return std::find_if(inbound_.begin(), inbound_.end(),
+                      [&](const InboundMsg& m) {
+                        return m.rndv == rndv && m.peer_node == node &&
+                               m.peer_ep == ep && m.seq == seq;
+                      });
+}
+
+bool Endpoint::take_posted(std::uint64_t match, RecvRequest& out) {
+  auto it = std::find_if(
+      posted_.begin(), posted_.end(),
+      [&](const RecvRequest& r) { return match_ok(r, match); });
+  if (it == posted_.end()) return false;
+  out = std::move(*it);
+  posted_.erase(it);
+  return true;
+}
+
+Endpoint::SendRequest* Endpoint::send_to(std::uint32_t seq, net::NodeId,
+                                         std::uint8_t) {
+  auto it = sends_.find(seq);
+  if (it == sends_.end()) {
+    return nullptr;
+  }
+  return it->second.get();
+}
+
+Endpoint::PullState* Endpoint::pull_with(std::uint32_t handle, net::NodeId,
+                                         std::uint8_t) {
+  auto it = pulls_.find(handle);
+  if (it == pulls_.end()) {
+    return nullptr;
+  }
+  return it->second.get();
+}
+
+Endpoint::PullState* Endpoint::pull_from(net::NodeId node, std::uint8_t ep,
+                                         std::uint32_t seq) {
+  for (const auto& [handle, ps] : pulls_) {
+    if (ps->peer_node == node && ps->peer_ep == ep && ps->sender_seq == seq) {
+      return ps.get();
+    }
+  }
+  return nullptr;
+}
+
 void Endpoint::erase_inbound(InboundMsg& msg) {
   for (auto it = inbound_.begin(); it != inbound_.end(); ++it) {
     if (&*it == &msg) {
@@ -700,26 +665,13 @@ void Endpoint::complete_recv(const RecvRequest& recv, Status st) {
   if (recv.done) recv.done(st);
 }
 
-void Endpoint::on_eager_ack(net::NodeId, std::uint8_t,
+void Endpoint::on_eager_ack(net::NodeId src, std::uint8_t src_ep,
                             const EagerAckBody& body) {
-  auto it = sends_.find(body.seq);
-  if (it == sends_.end()) {
-    ++counters_.duplicates_suppressed;  // duplicate ack
+  if (send_to(body.seq, src, src_ep) == nullptr) {
+    ++counters_.duplicates_suppressed;  // duplicate or stray ack
     return;
   }
-  auto node = std::move(it->second);
-  sends_.erase(it);
-  SendRequest& req = *node;
-  driver_.engine().cancel(req.rto);
-  {
-    obs::Event e = ev(obs::EventKind::kSendDone);
-    e.seq = body.seq;
-    e.peer = req.dest.node;
-    e.peer_ep = req.dest.ep;
-    e.len = req.len;
-    obs_emit(e);
-  }
-  req.done(Status{true, false, req.len});
+  complete_send(body.seq);
 }
 
 // --- rendezvous receive ----------------------------------------------------------
@@ -728,23 +680,15 @@ void Endpoint::on_rndv(net::NodeId src, std::uint8_t src_ep,
                        const RndvBody& body) {
   ++counters_.rndv_received;
   const std::uint64_t key = inbound_key(src, src_ep, body.seq, true);
-  if (is_completed(key)) {
+  if (completed_.contains(key)) {
     ++counters_.duplicates_suppressed;  // stale duplicate
     return;
   }
-  for (const auto& [handle, ps] : pulls_) {
-    if (ps->peer_node == src && ps->peer_ep == src_ep &&
-        ps->sender_seq == body.seq) {
-      ++counters_.duplicates_suppressed;  // dup of an in-progress transfer
-      return;
-    }
-  }
-  for (const auto& m : inbound_) {
-    if (m.rndv && m.peer_node == src && m.peer_ep == src_ep &&
-        m.seq == body.seq) {
-      ++counters_.duplicates_suppressed;  // dup of an unmatched rendezvous
-      return;
-    }
+  if (pull_from(src, src_ep, body.seq) != nullptr ||
+      find_inbound(true, src, src_ep, body.seq) != inbound_.end()) {
+    // Dup of an in-progress transfer or of an unmatched rendezvous.
+    ++counters_.duplicates_suppressed;
+    return;
   }
 
   InboundMsg msg;
@@ -756,13 +700,9 @@ void Endpoint::on_rndv(net::NodeId src, std::uint8_t src_ep,
   msg.msg_len = body.msg_len;
   msg.sender_region = body.region;
 
-  for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-    if (match_ok(*it, body.match)) {
-      RecvRequest recv = std::move(*it);
-      posted_.erase(it);
-      start_pull(std::move(msg), std::move(recv));
-      return;
-    }
+  if (RecvRequest recv; take_posted(body.match, recv)) {
+    start_pull(std::move(msg), std::move(recv));
+    return;
   }
   inbound_.push_back(std::move(msg));
 }
@@ -805,16 +745,8 @@ void Endpoint::start_pull(InboundMsg&& rndv_msg, RecvRequest recv) {
   // stable even as the table itself shifts.
   const std::uint32_t handle = ps.handle;
   pulls_.emplace(handle, std::move(state));
-  {
-    obs::Event e = ev(obs::EventKind::kPullStart);
-    e.seq = handle;
-    e.offset = ps.sender_seq;
-    e.len = wanted;
-    e.peer = ps.peer_node;
-    e.peer_ep = ps.peer_ep;
-    e.region = ps.recv.region;
-    obs_emit(e);
-  }
+  emit_request(obs::EventKind::kPullStart, handle, ps.peer(), ps.sender_seq,
+               wanted, ps.recv.region);
 
   if (wanted == 0) {
     finish_pull(ps);
@@ -829,27 +761,14 @@ void Endpoint::start_pull(InboundMsg&& rndv_msg, RecvRequest recv) {
     if (it == pulls_.end()) return;
     PullState& p = *it->second;
     if (!ok) {
-      ++counters_.aborts;
-      send_packet({p.peer_node, p.peer_ep}, AbortBody{p.sender_seq},
-                  cpu::Priority::kKernel);
-      p.region->drop_use();
-      obs::Event e = ev(obs::EventKind::kRecvAbort);
-      e.seq = handle;
-      e.offset = p.sender_seq;
-      e.peer = p.peer_node;
-      e.peer_ep = p.peer_ep;
-      obs_emit(e);
-      complete_recv(p.recv, Status{false, false, 0});
-      destroy_pull(handle);
+      fail_pull(handle, /*send_abort=*/true);
       return;
     }
-    if (!p.started) begin_pull_requests(p);
+    if (!p.started) {
+      p.started = true;
+      pump_pull_window(p);
+    }
   }));
-}
-
-void Endpoint::begin_pull_requests(PullState& ps) {
-  ps.started = true;
-  pump_pull_window(ps);
 }
 
 void Endpoint::pump_pull_window(PullState& ps) {
@@ -869,22 +788,15 @@ void Endpoint::request_block(PullState& ps, std::size_t block_idx) {
   }
   blk.last_request = driver_.engine().now();
   ++counters_.pulls_sent;
-  {
-    obs::Event e = ev(obs::EventKind::kPullBlockReq);
-    e.seq = ps.handle;
-    e.offset = blk.offset;
-    e.len = blk.len;
-    e.peer = ps.peer_node;
-    e.peer_ep = ps.peer_ep;
-    obs_emit(e);
-  }
+  emit_request(obs::EventKind::kPullBlockReq, ps.handle, ps.peer(),
+               blk.offset, blk.len);
   PullBody body;
   body.region = ps.sender_region;
   body.handle = ps.handle;
   body.offset = blk.offset;
   body.len = static_cast<std::uint32_t>(blk.len);
   body.seq = ps.sender_seq;
-  send_packet({ps.peer_node, ps.peer_ep}, body, cpu::Priority::kBottomHalf);
+  send_packet(ps.peer(), body, cpu::Priority::kBottomHalf);
 }
 
 // Sender side: serve a pull request straight from the (pinned) region.
@@ -917,18 +829,8 @@ void Endpoint::on_pull(net::NodeId src, std::uint8_t src_ep,
     // this is an overlap miss and the frame is simply not sent (paper §3.3).
     const bool paged = driver_.config().pinning.mode == PinMode::kNone;
     if (!paged && !region->range_pinned(off, n)) {
-      ++counters_.overlap_misses;
-      ++counters_.frames_dropped_on_miss;
-      {
-        obs::Event e = ev(obs::EventKind::kOverlapMissSend);
-        e.region = body.region;
-        e.offset = off;
-        e.len = n;
-        e.seq = body.seq;
-        e.peer = src;
-        e.peer_ep = src_ep;
-        obs_emit(e);
-      }
+      note_overlap_miss(/*receiver=*/false, body.region, off, n, body.seq,
+                        {src, src_ep});
       arm_sender_fast_retry(src, src_ep, body);
       continue;
     }
@@ -942,31 +844,26 @@ void Endpoint::on_pull(net::NodeId src, std::uint8_t src_ep,
       assert(copied == Region::AccessResult::kOk);  // range checked above
       (void)copied;
     }
-    {
-      obs::Event e = ev(obs::EventKind::kCopyOut);
-      e.region = body.region;
-      e.offset = off;
-      e.len = n;
-      e.seq = body.seq;  // binds the copy to its send chain for attribution
-      e.peer = src;
-      e.peer_ep = src_ep;
-      obs_emit(e);
-    }
+    // The send seq binds the copy to its send chain for attribution.
+    emit_request(obs::EventKind::kCopyOut, body.seq, dest, off, n,
+                 body.region);
     ++counters_.pull_replies_sent;
     transmit(dest, PacketType::kPullReply, std::move(frame).finish(),
              cpu::Priority::kBottomHalf);
   }
 }
 
-void Endpoint::on_pull_reply(net::NodeId, std::uint8_t,
+void Endpoint::on_pull_reply(net::NodeId src, std::uint8_t src_ep,
                              PullReplyBody&& body) {
-  auto it = pulls_.find(body.handle);
-  if (it == pulls_.end()) {
-    ++counters_.duplicate_frames;  // stale reply for a finished transfer
+  PullState* found = pull_with(body.handle, src, src_ep);
+  if (found == nullptr) {
+    // Stale reply for a finished transfer, or a stray one for someone
+    // else's: either way it never touches the region.
+    ++counters_.duplicate_frames;
     ++counters_.duplicates_suppressed;
     return;
   }
-  PullState& ps = *it->second;
+  PullState& ps = *found;
   const auto& proto = driver_.config().protocol;
   // Validate the frame against this pull state before touching any memory:
   // the offset must land on a frame boundary inside a known block and the
@@ -1004,18 +901,8 @@ void Endpoint::on_pull_reply(net::NodeId, std::uint8_t,
   ++counters_.region_accesses;
   const bool paged = driver_.config().pinning.mode == PinMode::kNone;
   if (!paged && !ps.region->range_pinned(body.offset, body.data.size())) {
-    ++counters_.overlap_misses;
-    ++counters_.frames_dropped_on_miss;
-    {
-      obs::Event e = ev(obs::EventKind::kOverlapMissRecv);
-      e.offset = body.offset;
-      e.len = body.data.size();
-      e.region = ps.region->id();
-      e.seq = ps.handle;
-      e.peer = ps.peer_node;
-      e.peer_ep = ps.peer_ep;
-      obs_emit(e);
-    }
+    note_overlap_miss(/*receiver=*/true, ps.region->id(), body.offset,
+                      body.data.size(), ps.handle, ps.peer());
     arm_receiver_fast_retry(ps, block_idx);
     maybe_optimistic_rerequest(ps, block_idx);
     return;
@@ -1036,18 +923,8 @@ void Endpoint::on_pull_reply(net::NodeId, std::uint8_t,
                Region::AccessResult::kOk) {
       // Invalidated between the check and the copy: count it as a miss and
       // let the re-request machinery recover (after a repin).
-      ++counters_.overlap_misses;
-      ++counters_.frames_dropped_on_miss;
-      {
-        obs::Event e = ev(obs::EventKind::kOverlapMissRecv);
-        e.offset = body.offset;
-        e.len = body.data.size();
-        e.region = p.region->id();
-        e.seq = p.handle;
-        e.peer = p.peer_node;
-        e.peer_ep = p.peer_ep;
-        obs_emit(e);
-      }
+      note_overlap_miss(/*receiver=*/true, p.region->id(), body.offset,
+                        body.data.size(), p.handle, p.peer());
       PullBlock& b = p.blocks[block_idx];
       const std::size_t fi = (body.offset - b.offset) /
                              driver_.config().protocol.frame_payload;
@@ -1056,16 +933,9 @@ void Endpoint::on_pull_reply(net::NodeId, std::uint8_t,
       pins_.ensure_pinned(*p.region, [](bool) {});
       return;
     }
-    {
-      obs::Event e = ev(obs::EventKind::kCopyIn);
-      e.region = p.region->id();
-      e.offset = body.offset;
-      e.len = body.data.size();
-      e.seq = p.handle;  // binds the copy to its pull chain for attribution
-      e.peer = p.peer_node;
-      e.peer_ep = p.peer_ep;
-      obs_emit(e);
-    }
+    // The handle binds the copy to its pull chain for attribution.
+    emit_request(obs::EventKind::kCopyIn, p.handle, p.peer(), body.offset,
+                 body.data.size(), p.region->id());
     PullBlock& b = p.blocks[block_idx];
     if (++b.frames_done == b.frame_seen.size()) {
       b.complete = true;
@@ -1081,92 +951,96 @@ void Endpoint::on_pull_reply(net::NodeId, std::uint8_t,
   maybe_optimistic_rerequest(ps, block_idx);
 }
 
+void Endpoint::note_overlap_miss(bool receiver, RegionId region,
+                                 std::size_t offset, std::size_t len,
+                                 std::uint32_t seq, EndpointAddr peer) {
+  ++counters_.overlap_misses;
+  ++counters_.frames_dropped_on_miss;
+  emit_request(receiver ? obs::EventKind::kOverlapMissRecv
+                        : obs::EventKind::kOverlapMissSend,
+               seq, peer, offset, len, region);
+}
+
 void Endpoint::arm_receiver_fast_retry(PullState& ps, std::size_t block_idx) {
   PullBlock& blk = ps.blocks[block_idx];
   if (blk.fast_retry) return;
   blk.fast_retry = true;
-  const auto& proto = driver_.config().protocol;
-  const std::uint32_t handle = ps.handle;
-  const sim::Time deadline =
-      driver_.engine().now() + proto.pull_retry_timeout;
+  FastRetry fr;
+  fr.pull.handle = ps.handle;
+  fr.pull.offset = blk.offset;
+  fr.deadline =
+      driver_.engine().now() + driver_.config().protocol.pull_retry_timeout;
+  schedule_fast_retry(fr);
+}
 
-  // Poll the region descriptor until the block's pages are pinned, then
-  // re-pull it; past the deadline the coarse retry timer owns recovery.
-  // The pending engine event owns the closure; the closure only keeps a
-  // weak reference to itself for rescheduling (no ownership cycle).
-  auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, handle, block_idx, deadline,
-           weak = std::weak_ptr<std::function<void()>>(poll)] {
-    auto it = pulls_.find(handle);
-    if (it == pulls_.end()) return;
-    PullState& p = *it->second;
-    PullBlock& b = p.blocks[block_idx];
-    if (p.done || b.complete) {
-      b.fast_retry = false;
-      return;
-    }
-    if (p.region->range_pinned(b.offset, b.len)) {
-      b.fast_retry = false;
-      ++counters_.pull_rerequests;
-      request_block(p, block_idx);
-      return;
-    }
-    if (driver_.engine().now() >= deadline) {
-      b.fast_retry = false;
-      return;
-    }
-    if (auto self = weak.lock()) {
-      driver_.engine().schedule_after(
-          driver_.config().protocol.rerequest_cooldown,
-          guarded([self] { (*self)(); }), {"core", "pull_retry"});
-    }
-  };
-  driver_.engine().schedule_after(proto.rerequest_cooldown,
-                                  guarded([poll] { (*poll)(); }),
-                                  {"core", "pull_retry"});
+std::uint64_t Endpoint::sender_retry_key(const PullBody& body) const {
+  return (static_cast<std::uint64_t>(body.handle) << 32) ^
+         (body.offset / driver_.config().protocol.pull_block);
 }
 
 void Endpoint::arm_sender_fast_retry(net::NodeId src, std::uint8_t src_ep,
                                      const PullBody& body) {
   // At most one poll per (handle, offset): on_pull retries re-enter here.
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(body.handle) << 32) ^
-      (body.offset / driver_.config().protocol.pull_block);
-  if (!pending_pull_retries_.insert(key).second) return;
+  if (!pending_pull_retries_.insert(sender_retry_key(body)).second) return;
+  FastRetry fr;
+  fr.peer = {src, src_ep};
+  fr.pull = body;
+  fr.deadline =
+      driver_.engine().now() + driver_.config().protocol.pull_retry_timeout;
+  schedule_fast_retry(fr);
+}
 
-  const auto& proto = driver_.config().protocol;
-  const sim::Time deadline =
-      driver_.engine().now() + proto.pull_retry_timeout;
-
-  auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, src, src_ep, body, key, deadline,
-           weak = std::weak_ptr<std::function<void()>>(poll)] {
-    Region* region = find_region(body.region);
-    if (region == nullptr) {
-      pending_pull_retries_.erase(key);
-      return;
-    }
-    const std::size_t len =
-        std::min<std::size_t>(body.len, region->total_length() - body.offset);
-    if (region->range_pinned(body.offset, len)) {
-      pending_pull_retries_.erase(key);
-      // Re-serve the whole request; the receiver discards duplicates.
-      on_pull(src, src_ep, body);
-      return;
-    }
-    if (driver_.engine().now() >= deadline) {
-      pending_pull_retries_.erase(key);
-      return;
-    }
-    if (auto self = weak.lock()) {
-      driver_.engine().schedule_after(
-          driver_.config().protocol.rerequest_cooldown,
-          guarded([self] { (*self)(); }), {"core", "pull_retry"});
-    }
-  };
-  driver_.engine().schedule_after(proto.rerequest_cooldown,
-                                  guarded([poll] { (*poll)(); }),
+void Endpoint::schedule_fast_retry(const FastRetry& fr) {
+  driver_.engine().schedule_after(driver_.config().protocol.rerequest_cooldown,
+                                  guarded([this, fr] { fast_retry_tick(fr); }),
                                   {"core", "pull_retry"});
+}
+
+void Endpoint::fast_retry_tick(const FastRetry& fr) {
+  // The pinned range the poll waits for; no region once the poll is moot
+  // (region undeclared, or the block already arrived another way).
+  const Region* region = nullptr;
+  std::size_t offset = 0;
+  std::size_t len = 0;
+  PullState* ps = nullptr;
+  const std::size_t block =
+      fr.pull.offset / driver_.config().protocol.pull_block;
+  if (fr.sender()) {
+    region = find_region(fr.pull.region);
+    if (region != nullptr) {
+      offset = fr.pull.offset;
+      len = std::min<std::size_t>(fr.pull.len,
+                                  region->total_length() - fr.pull.offset);
+    }
+  } else {
+    auto it = pulls_.find(fr.pull.handle);
+    if (it == pulls_.end()) return;  // the block's marker went with it
+    ps = it->second.get();
+    const PullBlock& b = ps->blocks[block];
+    if (!ps->done && !b.complete) {
+      region = ps->region;
+      offset = b.offset;
+      len = b.len;
+    }
+  }
+  const bool pinned = region != nullptr && region->range_pinned(offset, len);
+  if (region != nullptr && !pinned &&
+      driver_.engine().now() < fr.deadline) {
+    schedule_fast_retry(fr);
+    return;
+  }
+  // The poll ends; past the deadline the coarse retry timer owns recovery.
+  if (fr.sender()) {
+    pending_pull_retries_.erase(sender_retry_key(fr.pull));
+    // Re-serve the whole request; the receiver discards duplicates.
+    if (pinned) on_pull(fr.peer.node, fr.peer.ep, fr.pull);
+  } else {
+    ps->blocks[block].fast_retry = false;
+    if (pinned) {
+      ++counters_.pull_rerequests;
+      request_block(*ps, block);
+    }
+  }
 }
 
 void Endpoint::maybe_optimistic_rerequest(PullState& ps,
@@ -1200,25 +1074,16 @@ void Endpoint::finish_pull(PullState& ps) {
   if (ps.region != nullptr) {
     ps.region->drop_use();
   }
-  {
-    obs::Event e = ev(obs::EventKind::kRecvDone);
-    e.seq = ps.handle;
-    e.offset = ps.sender_seq;
-    e.len = ps.msg_len;
-    e.peer = ps.peer_node;
-    e.peer_ep = ps.peer_ep;
-    obs_emit(e);
-  }
-  remember_completed(
-      inbound_key(ps.peer_node, ps.peer_ep, ps.sender_seq, true));
+  emit_request(obs::EventKind::kRecvDone, ps.handle, ps.peer(), ps.sender_seq,
+               ps.msg_len);
+  completed_.insert(inbound_key(ps.peer_node, ps.peer_ep, ps.sender_seq, true));
   complete_recv(ps.recv, Status{true, trunc, ps.msg_len});
   send_notify(ps);
 }
 
 void Endpoint::send_notify(PullState& ps) {
   ++counters_.notifies_sent;
-  send_packet({ps.peer_node, ps.peer_ep},
-              NotifyBody{ps.sender_seq, ps.handle},
+  send_packet(ps.peer(), NotifyBody{ps.sender_seq, ps.handle},
               cpu::Priority::kBottomHalf);
   const std::uint32_t handle = ps.handle;
   ps.rto = driver_.engine().schedule_after(
@@ -1257,30 +1122,12 @@ void Endpoint::arm_pull_rto(PullState& ps) {
             // The sender has been silent for the whole budget: stop holding
             // receiver state for it, tell it we gave up, fail the receive.
             ++counters_.retry_exhausted;
-            ++counters_.aborts;
-            send_packet({p.peer_node, p.peer_ep}, AbortBody{p.sender_seq},
-                        cpu::Priority::kKernel);
-            if (p.region != nullptr) p.region->drop_use();
-            obs::Event e = ev(obs::EventKind::kRecvAbort);
-            e.seq = handle;
-            e.offset = p.sender_seq;
-            e.peer = p.peer_node;
-            e.peer_ep = p.peer_ep;
-            obs_emit(e);
-            complete_recv(p.recv, Status{false, false, 0});
-            destroy_pull(handle);
+            fail_pull(handle, /*send_abort=*/true);
             return;
           }
           ++counters_.retransmit_timeouts;
-          {
-            obs::Event e = ev(obs::EventKind::kPullRetry);
-            e.seq = handle;
-            e.offset = p.sender_seq;
-            e.len = static_cast<std::uint64_t>(p.stall_ticks);
-            e.peer = p.peer_node;
-            e.peer_ep = p.peer_ep;
-            obs_emit(e);
-          }
+          emit_request(obs::EventKind::kPullRetry, handle, p.peer(),
+                       p.sender_seq, static_cast<std::uint64_t>(p.stall_ticks));
           for (std::size_t i = 0; i < p.blocks.size(); ++i) {
             PullBlock& blk = p.blocks[i];
             if (blk.requested && !blk.complete) request_block(p, i);
@@ -1307,30 +1154,20 @@ void Endpoint::on_notify(net::NodeId src, std::uint8_t src_ep,
   // Always ack: the notify may be a retransmission after our ack was lost.
   send_packet({src, src_ep}, NotifyAckBody{body.handle},
               cpu::Priority::kBottomHalf);
-  auto it = sends_.find(body.seq);
-  if (it == sends_.end()) {
-    ++counters_.duplicates_suppressed;  // notify retransmission
+  if (send_to(body.seq, src, src_ep) == nullptr) {
+    ++counters_.duplicates_suppressed;  // notify retransmission, or stray
     return;
   }
-  auto node = std::move(it->second);
-  sends_.erase(it);
-  SendRequest& req = *node;
-  driver_.engine().cancel(req.rto);
-  if (Region* r = find_region(req.region); r != nullptr) r->drop_use();
-  {
-    obs::Event e = ev(obs::EventKind::kSendDone);
-    e.seq = body.seq;
-    e.peer = src;
-    e.peer_ep = src_ep;
-    e.len = req.len;
-    obs_emit(e);
-  }
-  req.done(Status{true, false, req.len});
+  complete_send(body.seq);
 }
 
-void Endpoint::on_notify_ack(const NotifyAckBody& body) {
-  if (pulls_.find(body.handle) == pulls_.end()) {
-    ++counters_.duplicates_suppressed;  // ack for an already-freed handle
+void Endpoint::on_notify_ack(net::NodeId src, std::uint8_t src_ep,
+                             const NotifyAckBody& body) {
+  // Only a pull whose data completed sends NOTIFY, so only such a pull can
+  // be acked; anything else is an ack for a freed handle, or a stray.
+  if (PullState* ps = pull_with(body.handle, src, src_ep);
+      ps == nullptr) {
+    ++counters_.duplicates_suppressed;
     return;
   }
   destroy_pull(body.handle);
@@ -1340,38 +1177,19 @@ void Endpoint::on_abort(net::NodeId src, std::uint8_t src_ep,
                         const AbortBody& body) {
   // Receiver side: the sender gave up on (src, seq). At most one in-progress
   // pull matches (on_rndv suppresses duplicates), so scan order cannot leak.
-  for (auto& [handle, ps] : pulls_) {
-    if (ps->peer_node == src && ps->peer_ep == src_ep &&
-        ps->sender_seq == body.seq && !ps->done) {
-      // Copy the key and pin the pooled node: complete_recv runs a user
-      // completion that may insert into pulls_, shifting the flat map the
-      // structured bindings point into.
-      const std::uint32_t h = handle;
-      PullState& p = *ps;
-      ++counters_.aborts;
-      if (p.region != nullptr) p.region->drop_use();
-      obs::Event e = ev(obs::EventKind::kRecvAbort);
-      e.seq = h;
-      e.offset = p.sender_seq;
-      e.peer = src;
-      e.peer_ep = src_ep;
-      obs_emit(e);
-      complete_recv(p.recv, Status{false, false, 0});
-      destroy_pull(h);
-      return;
-    }
+  if (PullState* ps = pull_from(src, src_ep, body.seq);
+      ps != nullptr && !ps->done) {
+    fail_pull(ps->handle, /*send_abort=*/false);
+    return;
   }
-  for (auto it = inbound_.begin(); it != inbound_.end(); ++it) {
-    if (it->rndv && it->peer_node == src && it->peer_ep == src_ep &&
-        it->seq == body.seq) {
-      inbound_.erase(it);
-      return;
-    }
+  if (auto it = find_inbound(true, src, src_ep, body.seq);
+      it != inbound_.end()) {
+    inbound_.erase(it);
+    return;
   }
   // Sender side: the receiver aborted our request.
-  if (auto it = sends_.find(body.seq);
-      it != sends_.end() && it->second->dest.node == src &&
-      it->second->dest.ep == src_ep) {
+  if (auto it = sends_.find(body.seq); it != sends_.end() &&
+      it->second->dest == EndpointAddr{src, src_ep}) {
     fail_send(body.seq, /*send_abort=*/false);
   }
 }
@@ -1407,6 +1225,20 @@ void Endpoint::charge_rx_copy(std::size_t bytes, sim::UniqueFunction raw) {
              std::move(after));
 }
 
+void Endpoint::emit_request(obs::EventKind kind, std::uint32_t seq,
+                            EndpointAddr peer, std::uint64_t offset,
+                            std::uint64_t len, RegionId region) {
+  obs::Event e;
+  e.kind = kind;
+  e.seq = seq;
+  e.peer = peer.node;
+  e.peer_ep = peer.ep;
+  e.offset = offset;
+  e.len = len;
+  e.region = region;
+  obs_emit(e);
+}
+
 void Endpoint::obs_emit(obs::Event e) {
   const obs::Relay& relay = driver_.relay();
   if (!relay.active()) return;
@@ -1440,7 +1272,8 @@ void Endpoint::transmit(EndpointAddr dest, PacketType t,
                         std::vector<std::byte> payload,
                         cpu::Priority priority) {
   {
-    obs::Event e = ev(obs::EventKind::kPktTx);
+    obs::Event e;
+    e.kind = obs::EventKind::kPktTx;
     e.pkt = static_cast<std::uint8_t>(t);
     e.label = packet_type_name(t);
     e.peer = dest.node;
@@ -1458,14 +1291,6 @@ void Endpoint::transmit(EndpointAddr dest, PacketType t,
               guarded([this, f = std::move(frame)]() mutable {
                 driver_.nic().send(std::move(f));
               }));
-}
-
-void Endpoint::remember_completed(std::uint64_t key) {
-  completed_.insert(key);
-}
-
-bool Endpoint::is_completed(std::uint64_t key) const {
-  return completed_.contains(key);
 }
 
 std::uint64_t Endpoint::inbound_key(net::NodeId node, std::uint8_t ep,

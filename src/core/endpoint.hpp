@@ -251,6 +251,7 @@ class Endpoint {
     std::size_t last_progress = 0;  // frames received at the last rto tick
     sim::Engine::EventId rto{};
 
+    [[nodiscard]] EndpointAddr peer() const { return {peer_node, peer_ep}; }
     [[nodiscard]] std::size_t frames_received_total() const {
       std::size_t n = 0;
       for (const PullBlock& b : blocks) n += b.frames_received;
@@ -262,15 +263,26 @@ class Endpoint {
 
   // Submission helpers.
   void transmit_eager(std::uint32_t seq);
-  void start_rndv(SendRequest& req);
   void send_rndv_frame(SendRequest& req);
   void arm_send_rto(SendRequest& req);
   void fail_send(std::uint32_t seq, bool send_abort, bool peer_dead = false);
+  /// Completes a send the peer acknowledged (EAGER_ACK or NOTIFY): drops the
+  /// region use, emits kSendDone, completes with ok=true.
+  void complete_send(std::uint32_t seq);
 
-  /// Aborts one in-progress pull locally: drops the region use, emits
-  /// kRecvAbort, completes the receive with ok=false, destroys the state.
-  /// Never sends an abort packet (callers that want one send it first).
-  void fail_pull(std::uint32_t handle, bool peer_dead);
+  /// The one receive-side teardown: counts the abort, tells the sender with
+  /// an ABORT packet when `send_abort`, drops the region use, emits
+  /// kRecvAbort, completes the receive with ok=false and destroys the state.
+  /// A pull whose data already completed (only its NOTIFY handshake left)
+  /// is just freed.
+  void fail_pull(std::uint32_t handle, bool send_abort, bool peer_dead = false);
+
+  /// Fails every send matching `send_pred`, then every pull matching
+  /// `pull_pred`, in ascending-id order. The ids are collected first:
+  /// failing runs user completions that may re-enter the tables.
+  template <typename SendPred, typename PullPred>
+  void fail_matching(SendPred send_pred, PullPred pull_pred, bool send_abort,
+                     bool peer_dead);
 
   /// Exponential backoff: base retransmit timeout doubled per retry already
   /// burned, capped at `retransmit_backoff_max`.
@@ -285,7 +297,8 @@ class Endpoint {
   void on_pull_reply(net::NodeId src, std::uint8_t src_ep,
                      PullReplyBody&& body);
   void on_notify(net::NodeId src, std::uint8_t src_ep, const NotifyBody& body);
-  void on_notify_ack(const NotifyAckBody& body);
+  void on_notify_ack(net::NodeId src, std::uint8_t src_ep,
+                     const NotifyAckBody& body);
   void on_abort(net::NodeId src, std::uint8_t src_ep, const AbortBody& body);
 
   // Eager receive plumbing.
@@ -297,14 +310,49 @@ class Endpoint {
                           DataChunk&& data);
   void finish_eager_inbound(InboundMsg& msg);
   void erase_inbound(InboundMsg& msg);
+  /// The reassembly/matching record of (node, ep, seq), or end().
+  std::list<InboundMsg>::iterator find_inbound(bool rndv, net::NodeId node,
+                                               std::uint8_t ep,
+                                               std::uint32_t seq);
+  /// Moves the first posted receive matching `match` (MPI order) into
+  /// `out`; false when none does.
+  bool take_posted(std::uint64_t match, RecvRequest& out);
+  /// The pull serving (node, ep)'s send `seq`; at most one exists, since
+  /// on_rndv suppresses duplicates.
+  PullState* pull_from(net::NodeId node, std::uint8_t ep, std::uint32_t seq);
+  /// Send `seq` / pull `handle` named by a reply from (node, ep), or null.
+  SendRequest* send_to(std::uint32_t seq, net::NodeId node, std::uint8_t ep);
+  PullState* pull_with(std::uint32_t handle, net::NodeId node,
+                       std::uint8_t ep);
   void complete_recv(const RecvRequest& recv, Status st);
 
   // Pull machinery.
   void start_pull(InboundMsg&& rndv_msg, RecvRequest recv);
-  void begin_pull_requests(PullState& ps);
   void request_block(PullState& ps, std::size_t block_idx);
   void pump_pull_window(PullState& ps);
   void maybe_optimistic_rerequest(PullState& ps, std::size_t arrived_block);
+
+  /// Counts a frame dropped on an overlap miss (§3.3) and emits the miss:
+  /// kOverlapMissRecv for the receiver's PULL_REPLY, kOverlapMissSend for a
+  /// frame the sender could not serve.
+  void note_overlap_miss(bool receiver, RegionId region, std::size_t offset,
+                         std::size_t len, std::uint32_t seq,
+                         EndpointAddr peer);
+
+  /// One §3.3 drop-on-miss recovery poll. The sender re-serves `pull` to
+  /// `peer`; the receiver (no `peer`) re-pulls the block at `pull.offset`
+  /// of its pull `pull.handle`.
+  struct FastRetry {
+    PullBody pull;
+    sim::Time deadline = 0;
+    EndpointAddr peer;
+    [[nodiscard]] bool sender() const noexcept {
+      return peer.node != net::kInvalidNode;
+    }
+  };
+  static_assert(sizeof(FastRetry) <= 40,
+                "the re-armed poll closure must stay inside "
+                "UniqueFunction's inline buffer with `this` and guarded()");
 
   /// §3.3 drop-on-miss recovery, fast path: the side that dropped a packet
   /// because its own page was not pinned yet *knows* it did, so it watches
@@ -314,6 +362,11 @@ class Endpoint {
   void arm_receiver_fast_retry(PullState& ps, std::size_t block_idx);
   void arm_sender_fast_retry(net::NodeId src, std::uint8_t src_ep,
                              const PullBody& body);
+  /// Polls every `rerequest_cooldown` until the range is pinned (then
+  /// retries), the poll is moot, or its deadline passes.
+  void schedule_fast_retry(const FastRetry& fr);
+  void fast_retry_tick(const FastRetry& fr);
+  [[nodiscard]] std::uint64_t sender_retry_key(const PullBody& body) const;
   void finish_pull(PullState& ps);
   void send_notify(PullState& ps);
   void arm_pull_rto(PullState& ps);
@@ -335,6 +388,12 @@ class Endpoint {
   /// Stamps (node, ep) onto `e` and hands it to the driver's observability
   /// relay; a no-op (one pointer compare) with no bus attached.
   void obs_emit(obs::Event e);
+  /// Emits a request-lifecycle event: `seq` is the send seq or pull handle
+  /// and `peer` the remote endpoint; `offset`, `len` and `region` mean what
+  /// obs/event.hpp says for `kind`.
+  void emit_request(obs::EventKind kind, std::uint32_t seq, EndpointAddr peer,
+                    std::uint64_t offset = 0, std::uint64_t len = 0,
+                    RegionId region = 0);
 
   [[nodiscard]] bool match_ok(const RecvRequest& r, std::uint64_t match) const {
     return (r.match & r.mask) == (match & r.mask);
@@ -343,11 +402,6 @@ class Endpoint {
   /// Whether this request's pinning overlaps with communication, combining
   /// the global config with the §6 per-request blocking hint.
   [[nodiscard]] bool overlap_for(bool blocking_hint) const;
-
-  /// Remembers a completed inbound message id for duplicate suppression
-  /// (bounded memory).
-  void remember_completed(std::uint64_t key);
-  [[nodiscard]] bool is_completed(std::uint64_t key) const;
 
   /// Wraps a timer/core-queue callback so it turns into a no-op once this
   /// endpoint is destroyed. Closures capturing `this` can outlive the

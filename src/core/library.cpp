@@ -27,128 +27,56 @@ std::size_t Library::total_length(
   return total;
 }
 
-void Library::submit_send(Request* r, EndpointAddr dest, std::uint64_t match,
-                          std::vector<Segment> segments,
-                          bool blocking_hint) {
-  const auto& proto = ep_.driver().config().protocol;
-  cpu::Core& core = ep_.process_core();
-  const std::size_t total = total_length(segments);
-  r->kind_ = Request::Kind::kSend;
+bool Library::proceed(Request* r, RegionId rid) {
+  if (!r->cancel_requested_) return true;
+  if (rid != kInvalidRegion) cache_.release(rid);
+  r->complete(Status{false, false, 0});
+  return false;
+}
 
-  if (total <= proto.eager_threshold) {
-    core.submit(cpu::Priority::kKernel, proto.syscall_cost,
-                [this, alive = std::weak_ptr<void>(alive_), dest, match,
-                 segs = std::move(segments), r]() mutable {
-                  if (alive.expired()) return;  // library died mid-queue
-                  if (r->cancel_requested_) {
-                    r->complete(Status{false, false, 0});
-                    return;
-                  }
-                  r->submitted_ = true;
-                  r->send_seq_ = ep_.isend_eager(
-                      dest, match, std::move(segs),
-                      [r](Status st) { r->complete(st); });
-                });
-    return;
-  }
-
-  // User-space region-cache lookup, then the send ioctl.
-  core.submit(
-      cpu::Priority::kUser, kCacheLookupCost,
-      [this, alive = std::weak_ptr<void>(alive_), dest, match,
-       segs = std::move(segments), total, r, &core, &proto,
-       blocking_hint]() mutable {
-        if (alive.expired()) return;  // library died mid-queue
-        if (r->cancel_requested_) {
-          r->complete(Status{false, false, 0});
-          return;
+template <typename Ioctl>
+void Library::syscall(Request* r, RegionId rid, std::vector<Segment> segs,
+                      Ioctl ioctl) {
+  ep_.process_core().submit(
+      cpu::Priority::kKernel, ep_.driver().config().protocol.syscall_cost,
+      [this, alive = std::weak_ptr<void>(alive_), r, rid,
+       segs = std::move(segs), ioctl = std::move(ioctl)]() mutable {
+        if (alive.expired() || !proceed(r, rid)) return;  // died mid-queue
+        r->submitted_ = true;
+        Completion done = [r](Status st) { r->complete(st); };
+        if (rid != kInvalidRegion) {
+          done = [this, r](Status st) {
+            cache_.release(r->region_);
+            r->complete(st);
+          };
         }
-        const RegionId rid = cache_.acquire(segs);
-        r->region_ = rid;
-        core.submit(cpu::Priority::kKernel, proto.syscall_cost,
-                    [this, alive, dest, match, rid, total, r, blocking_hint] {
-                      if (alive.expired()) return;
-                      if (r->cancel_requested_) {
-                        cache_.release(rid);
-                        r->complete(Status{false, false, 0});
-                        return;
-                      }
-                      r->submitted_ = true;
-                      r->send_seq_ = ep_.isend_rndv(
-                          dest, match, rid, total,
-                          [this, r](Status st) {
-                            cache_.release(r->region_);
-                            r->complete(st);
-                          },
-                          blocking_hint);
-                    });
+        ioctl(ep_, *r, rid, std::move(segs), std::move(done));
       });
 }
 
-void Library::submit_recv(Request* r, std::uint64_t match, std::uint64_t mask,
-                          std::vector<Segment> segments,
-                          bool blocking_hint) {
+template <typename Ioctl>
+void Library::submit(Request* r, std::vector<Segment> segments, Ioctl ioctl) {
   const auto& proto = ep_.driver().config().protocol;
-  cpu::Core& core = ep_.process_core();
-  const std::size_t total = total_length(segments);
-  r->kind_ = Request::Kind::kRecv;
-
-  if (total <= proto.eager_threshold) {
-    core.submit(cpu::Priority::kKernel, proto.syscall_cost,
-                [this, alive = std::weak_ptr<void>(alive_), match, mask,
-                 segs = std::move(segments), r]() mutable {
-                  if (alive.expired()) return;  // library died mid-queue
-                  if (r->cancel_requested_) {
-                    r->complete(Status{false, false, 0});
-                    return;
-                  }
-                  r->submitted_ = true;
-                  r->recv_id_ =
-                      ep_.irecv(match, mask, std::move(segs), kInvalidRegion,
-                                [r](Status st) { r->complete(st); });
-                });
+  if (total_length(segments) <= proto.eager_threshold) {
+    syscall(r, kInvalidRegion, std::move(segments), std::move(ioctl));
     return;
   }
-
-  core.submit(
+  // User-space region-cache lookup, then the ioctl.
+  ep_.process_core().submit(
       cpu::Priority::kUser, kCacheLookupCost,
-      [this, alive = std::weak_ptr<void>(alive_), match, mask,
-       segs = std::move(segments), r, &core, &proto,
-       blocking_hint]() mutable {
-        if (alive.expired()) return;  // library died mid-queue
-        if (r->cancel_requested_) {
-          r->complete(Status{false, false, 0});
-          return;
-        }
+      [this, alive = std::weak_ptr<void>(alive_), r,
+       segs = std::move(segments), ioctl = std::move(ioctl)]() mutable {
+        if (alive.expired() || !proceed(r, kInvalidRegion)) return;
         const RegionId rid = cache_.acquire(segs);
         r->region_ = rid;
-        core.submit(cpu::Priority::kKernel, proto.syscall_cost,
-                    [this, alive, match, mask, segs = std::move(segs), rid, r,
-                     blocking_hint]() mutable {
-                      if (alive.expired()) return;
-                      if (r->cancel_requested_) {
-                        cache_.release(rid);
-                        r->complete(Status{false, false, 0});
-                        return;
-                      }
-                      r->submitted_ = true;
-                      r->recv_id_ = ep_.irecv(
-                          match, mask, std::move(segs), rid,
-                          [this, r](Status st) {
-                            cache_.release(r->region_);
-                            r->complete(st);
-                          },
-                          blocking_hint);
-                    });
+        syscall(r, rid, std::move(segs), std::move(ioctl));
       });
 }
 
 RequestPtr Library::isend(EndpointAddr dest, std::uint64_t match,
                           mem::VirtAddr buf, std::size_t len,
                           bool blocking_hint) {
-  std::vector<Segment> segs;
-  if (len > 0) segs.push_back(Segment{buf, len});
-  return isendv(dest, match, std::move(segs), blocking_hint);
+  return isendv(dest, match, segments_of(buf, len), blocking_hint);
 }
 
 RequestPtr Library::isendv(EndpointAddr dest, std::uint64_t match,
@@ -158,23 +86,42 @@ RequestPtr Library::isendv(EndpointAddr dest, std::uint64_t match,
   // context instead of spending the whole retry budget against silence.
   if (ep_.driver().peer_dead(dest.node)) throw PeerDeadError(dest.node);
   auto req = std::make_unique<Request>(eng_);
-  submit_send(req.get(), dest, match, std::move(segments), blocking_hint);
+  Request* r = req.get();
+  r->kind_ = Request::Kind::kSend;
+  const std::size_t total = total_length(segments);
+  submit(r, std::move(segments),
+         [dest, match, total, blocking_hint](
+             Endpoint& ep, Request& q, RegionId rid,
+             std::vector<Segment> segs, Completion done) {
+           q.send_seq_ =
+               rid == kInvalidRegion
+                   ? ep.isend_eager(dest, match, std::move(segs),
+                                    std::move(done))
+                   : ep.isend_rndv(dest, match, rid, total, std::move(done),
+                                   blocking_hint);
+         });
   return req;
 }
 
 RequestPtr Library::irecv(std::uint64_t match, std::uint64_t mask,
                           mem::VirtAddr buf, std::size_t len,
                           bool blocking_hint) {
-  std::vector<Segment> segs;
-  if (len > 0) segs.push_back(Segment{buf, len});
-  return irecvv(match, mask, std::move(segs), blocking_hint);
+  return irecvv(match, mask, segments_of(buf, len), blocking_hint);
 }
 
 RequestPtr Library::irecvv(std::uint64_t match, std::uint64_t mask,
                            std::vector<Segment> segments,
                            bool blocking_hint) {
   auto req = std::make_unique<Request>(eng_);
-  submit_recv(req.get(), match, mask, std::move(segments), blocking_hint);
+  Request* r = req.get();
+  r->kind_ = Request::Kind::kRecv;
+  submit(r, std::move(segments),
+         [match, mask, blocking_hint](Endpoint& ep, Request& q, RegionId rid,
+                                      std::vector<Segment> segs,
+                                      Completion done) {
+           q.recv_id_ = ep.irecv(match, mask, std::move(segs), rid,
+                                 std::move(done), blocking_hint);
+         });
   return req;
 }
 

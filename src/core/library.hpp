@@ -119,10 +119,19 @@ class Library {
   [[nodiscard]] static std::size_t total_length(
       const std::vector<Segment>& segments) noexcept;
 
-  void submit_send(Request* r, EndpointAddr dest, std::uint64_t match,
-                   std::vector<Segment> segments, bool blocking_hint);
-  void submit_recv(Request* r, std::uint64_t match, std::uint64_t mask,
-                   std::vector<Segment> segments, bool blocking_hint);
+  /// The one submission pipeline. An eager-sized message goes straight to
+  /// the syscall stage; a larger one first takes a region from the cache.
+  /// The syscall stage then calls `ioctl(endpoint, request, region,
+  /// segments, done)`, where the region is kInvalidRegion for eager traffic
+  /// and `done` completes the request (giving the cached region back).
+  template <typename Ioctl>
+  void submit(Request* r, std::vector<Segment> segments, Ioctl ioctl);
+  template <typename Ioctl>
+  void syscall(Request* r, RegionId rid, std::vector<Segment> segs,
+               Ioctl ioctl);
+  /// Whether a queued stage may go on: a request canceled before it
+  /// reached the driver completes here with ok=false, giving back `rid`.
+  bool proceed(Request* r, RegionId rid);
 
   /// Liveness token for submission closures queued on the process core: a
   /// process killed with submissions still queued (crash injection) must not

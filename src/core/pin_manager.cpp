@@ -55,31 +55,40 @@ void PinManager::arb_note_floor_protected() {
   ++counters_.tenant_floor_protected;
 }
 
-void PinManager::emit(obs::EventKind kind, Region& r, const char* what) {
+void PinManager::emit(obs::EventKind kind, Region& r, const char* what,
+                      std::size_t cut) {
   if (relay_ == nullptr || !relay_->active()) return;
   obs::Event e;
   e.kind = kind;
   e.node = node_;
   e.ep = ep_;
   e.region = r.id();
+  e.seq = static_cast<std::uint32_t>(cut);
   e.offset = r.pinned_pages();
   e.len = r.page_count();
   e.label = what;
   relay_->emit(e);
 }
 
-void PinManager::emit_invalidate(Region& r, std::size_t cut) {
-  if (relay_ == nullptr || !relay_->active()) return;
-  obs::Event e;
-  e.kind = obs::EventKind::kPinInvalidate;
-  e.node = node_;
-  e.ep = ep_;
-  e.region = r.id();
-  e.seq = static_cast<std::uint32_t>(cut);
-  e.offset = r.pinned_pages();
-  e.len = r.page_count();
-  e.label = "mmu notifier";
-  relay_->emit(e);
+template <typename F>
+auto PinManager::while_current(Region& r, std::uint64_t gen, F fn) {
+  return [this, alive = std::weak_ptr<char>(alive_), rid = r.id(), rp = &r,
+          gen, fn = std::move(fn)] {
+    if (alive.expired()) return;  // the manager died while the job waited
+    Tracked* t = find_alive(rid, rp);
+    if (t == nullptr || !t->job.active || t->job.generation != gen) {
+      return;  // invalidated or undeclared while the job waited
+    }
+    fn(*t);
+  };
+}
+
+void PinManager::resume_after(Region& r, sim::Time backoff, sim::TaskTag tag) {
+  eng_.schedule_after(
+      backoff,
+      while_current(r, track(r).job.generation,
+                    [this](Tracked& t) { schedule_chunk(*t.region); }),
+      tag);
 }
 
 PinManager::Tracked& PinManager::track(Region& r) {
@@ -107,10 +116,6 @@ void PinManager::register_region(Region& r) {
 
 void PinManager::unregister_region(Region& r) {
   // Cancel any in-flight pinning and release pins before forgetting it.
-  if (Tracked* t = find_alive(r.id(), &r); t != nullptr && t->job.active) {
-    ++t->job.generation;
-    t->job.active = false;
-  }
   unpin(r);
   tracked_.erase(r.id());
 }
@@ -156,11 +161,8 @@ void PinManager::start_or_join(Region& r, bool wait_full, Completion done) {
     // threshold is reached (0 pages by default — proceed immediately).
     const std::size_t threshold =
         std::min(cfg_.sync_prepin_pages, r.page_count());
-    if (r.pinned_pages() >= threshold && job.active) {
-      // Background pinning already past the threshold.
-      done(true);
-    } else if (r.pinned_pages() >= threshold && !job.active &&
-               threshold == 0) {
+    if (r.pinned_pages() >= threshold && (job.active || threshold == 0)) {
+      // Background pinning already past the threshold, or none needed.
       done(true);
     } else {
       job.early_threshold = threshold;
@@ -225,17 +227,9 @@ void PinManager::schedule_chunk(Region& r) {
     job.charged_base = true;
   }
 
-  const std::uint64_t gen = job.generation;
-  const RegionId rid = r.id();
-  std::weak_ptr<char> alive = alive_;
-  core_.submit(cpu::Priority::kKernel, cost, [this, rid, rp = &r, gen,
-                                              chunk, alive] {
-    if (alive.expired()) return;  // the manager died while the cost accrued
-    Tracked* t = find_alive(rid, rp);
-    if (t == nullptr || !t->job.active || t->job.generation != gen) {
-      return;  // invalidated or undeclared while the cost was accruing
-    }
-    Region& r = *t->region;
+  core_.submit(cpu::Priority::kKernel, cost,
+               while_current(r, job.generation, [this, chunk](Tracked& t) {
+    Region& r = *t.region;
     // The work time has been paid; take the page references now.
     std::vector<mem::FrameId> frames;
     frames.reserve(chunk);
@@ -288,14 +282,14 @@ void PinManager::schedule_chunk(Region& r) {
     // Any forward progress resets the budget: only a *stalled* frontier
     // counts against it, so sustained-but-survivable pressure cannot
     // starve a big region that pins a few pages per round.
-    if (!frames.empty()) t->job.retries = 0;
+    if (!frames.empty()) t.job.retries = 0;
     release_early_waiters(r, true);
     if (denied && frames.empty()) {
       retry_or_fail(r);
       return;
     }
     schedule_chunk(r);
-  });
+  }));
 }
 
 sim::Time PinManager::retry_backoff(int retries) const {
@@ -309,29 +303,20 @@ sim::Time PinManager::retry_backoff(int retries) const {
 void PinManager::retry_or_fail(Region& r) {
   PinJob& job = track(r).job;
   if (job.retries >= cfg_.pin_retry_budget) {
-    ++counters_.pin_retry_exhausted;
-    ++counters_.pin_failures;
-    emit(obs::EventKind::kPinFail, r, "retry budget exhausted");
-    finish(r, false);
+    give_up(r, "retry budget exhausted");
     return;
   }
   ++job.retries;
   ++counters_.pin_retries;
-  const std::uint64_t gen = job.generation;
   emit(obs::EventKind::kPinRetry, r, "transient pin denial, backing off");
-  std::weak_ptr<char> alive = alive_;
-  const RegionId rid = r.id();
-  eng_.schedule_after(
-      retry_backoff(job.retries),
-      [this, rid, rp = &r, gen, alive] {
-        if (alive.expired()) return;  // the manager died while we slept
-        Tracked* t = find_alive(rid, rp);
-        if (t == nullptr || !t->job.active || t->job.generation != gen) {
-          return;  // invalidated or undeclared during the backoff
-        }
-        schedule_chunk(*t->region);
-      },
-      {"pin", "retry_backoff"});
+  resume_after(r, retry_backoff(job.retries), {"pin", "retry_backoff"});
+}
+
+void PinManager::give_up(Region& r, const char* why) {
+  ++counters_.pin_retry_exhausted;
+  ++counters_.pin_failures;
+  emit(obs::EventKind::kPinFail, r, why);
+  finish(r, false);
 }
 
 void PinManager::release_early_waiters(Region& r, bool ok) {
@@ -355,9 +340,6 @@ void PinManager::finish(Region& r, bool ok) {
     emit(obs::EventKind::kPinDone, r, "fully pinned");
   } else {
     emit(obs::EventKind::kPinFail, r, "failed");
-  }
-
-  if (!ok) {
     r.set_state(Region::PinState::kFailed);
     // Give back whatever partial pins we hold; a failed region holds none.
     do_unpin(r, counters_.unpin_ops);
@@ -442,7 +424,7 @@ void PinManager::invalidate_range(mem::VirtAddr start, mem::VirtAddr end) {
     // storm event — costs no pins at all.
     const std::size_t cut = r.first_slot_overlapping(start, end);
     if (cut >= r.pinned_pages()) {
-      emit_invalidate(r, cut);
+      emit(obs::EventKind::kPinInvalidate, r, "mmu notifier", cut);
       continue;
     }
 
@@ -451,7 +433,7 @@ void PinManager::invalidate_range(mem::VirtAddr start, mem::VirtAddr end) {
     do_unpin_from(r, cut, counters_.unpin_ops);
     // Emitted post-truncation so sinks see the frontier the VM now relies
     // on; the invariant checker asserts it sits at or below the cut slot.
-    emit_invalidate(r, cut);
+    emit(obs::EventKind::kPinInvalidate, r, "mmu notifier", cut);
     if (!mid_pin) continue;
 
     // An invalidation landing on an in-flight pin job restarts the job
@@ -463,29 +445,15 @@ void PinManager::invalidate_range(mem::VirtAddr start, mem::VirtAddr end) {
     // (the endpoint aborts) rather than live-locking the pin/unpin loop.
     PinJob& job = t->job;
     if (job.inval_restarts >= cfg_.pin_retry_budget) {
-      ++counters_.pin_retry_exhausted;
-      ++counters_.pin_failures;
-      emit(obs::EventKind::kPinFail, r, "invalidation restart budget exhausted");
-      finish(r, false);
+      give_up(r, "invalidation restart budget exhausted");
       continue;
     }
     ++job.inval_restarts;
     ++counters_.pin_inval_restarts;
     r.set_state(Region::PinState::kPinning);
     emit(obs::EventKind::kPinRestart, r, "invalidated mid-pin, restarting");
-    const std::uint64_t gen = job.generation;
-    std::weak_ptr<char> alive = alive_;
-    eng_.schedule_after(
-        retry_backoff(job.inval_restarts),
-        [this, rid, rp, gen, alive] {
-          if (alive.expired()) return;  // the manager died during the backoff
-          Tracked* t2 = find_alive(rid, rp);
-          if (t2 == nullptr || !t2->job.active || t2->job.generation != gen) {
-            return;  // invalidated again or undeclared during the backoff
-          }
-          schedule_chunk(*t2->region);
-        },
-        {"pin", "restart_backoff"});
+    resume_after(r, retry_backoff(job.inval_restarts),
+                 {"pin", "restart_backoff"});
   }
 }
 

@@ -135,9 +135,19 @@ class PinManager : public mem::PinArbiter::TenantOps {
   /// the timer-callback guard (undeclare + id reuse cannot alias).
   Tracked* find_alive(RegionId rid, const Region* expected);
 
+  /// Wraps `fn(Tracked&)` for a core queue or timer so it runs only while
+  /// the manager lives and `r`'s pin job is still active at generation
+  /// `gen` (not invalidated, finished or undeclared while it waited).
+  template <typename F>
+  auto while_current(Region& r, std::uint64_t gen, F fn);
+  /// Backs off, then resumes `r`'s current pin job with its next chunk.
+  void resume_after(Region& r, sim::Time backoff, sim::TaskTag tag);
+
   void start_or_join(Region& r, bool wait_full, Completion done);
   void schedule_chunk(Region& r);
   void retry_or_fail(Region& r);
+  /// Fails `r`'s pin job once a retry budget runs out; `why` is static.
+  void give_up(Region& r, const char* why);
   [[nodiscard]] sim::Time retry_backoff(int retries) const;
   void finish(Region& r, bool ok);
   void release_early_waiters(Region& r, bool ok);
@@ -179,12 +189,11 @@ class PinManager : public mem::PinArbiter::TenantOps {
   std::shared_ptr<char> alive_ = std::make_shared<char>('p');
 
   /// Emits a pin event carrying the region's current frontier/total pages.
-  /// `what` must have static storage duration.
-  void emit(obs::EventKind kind, Region& r, const char* what);
-  /// Range-invalidation event: `cut` is the first invalidated slot, the
-  /// frontier snapshot in `offset` must already be post-truncation so the
-  /// invariant `offset <= cut` is checkable.
-  void emit_invalidate(Region& r, std::size_t cut);
+  /// `what` must have static storage duration. A kPinInvalidate carries the
+  /// first invalidated slot in `cut`; its frontier snapshot must already be
+  /// post-truncation so the invariant `offset <= cut` is checkable.
+  void emit(obs::EventKind kind, Region& r, const char* what,
+            std::size_t cut = 0);
 };
 
 }  // namespace pinsim::core

@@ -21,6 +21,13 @@ struct Segment {
   friend bool operator==(const Segment&, const Segment&) = default;
 };
 
+/// The segment list of one contiguous buffer; empty when `len` is 0.
+[[nodiscard]] inline std::vector<Segment> segments_of(mem::VirtAddr buf,
+                                                      std::size_t len) {
+  if (len == 0) return {};
+  return {Segment{buf, len}};
+}
+
 /// Driver-side state of a declared user region (paper §3.1).
 ///
 /// Declaration only records the segment list; whether pages are pinned is
