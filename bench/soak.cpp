@@ -908,6 +908,18 @@ Result run_row(const Row& row, const bench::Options& opt, std::uint64_t seed,
   if (row.arbiter && sum.tenant_arb_requests == 0) {
     fail("the pin arbiter never fired");
   }
+  // Every pin the injectors denied reached some pin manager, and endpoint
+  // slot counters keep it across crash/restart.
+  std::uint64_t injected_denials = 0;
+  for (const auto& pi : pressure) {
+    injected_denials += pi->stats().pins_denied + pi->stats().burst_denied;
+  }
+  std::uint64_t counted_denials = sum.pins_denied;
+  if (byst != nullptr) counted_denials += byst->lib.counters().pins_denied;
+  if (counted_denials < injected_denials) {
+    fail(format("endpoints counted %llu pin denial(s), the injectors %llu",
+                counted_denials, injected_denials));
+  }
   const double jain_ok = jain_index(ok_by_ep);
   const double jain_denied = jain_index(denied_by_ep);
   sim::Time p99_min = 0, p99_max = 0;

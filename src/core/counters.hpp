@@ -52,10 +52,9 @@ struct Counters {
   std::uint64_t duplicates_suppressed = 0; // dup frames discarded side-effect-free
   std::uint64_t retry_exhausted = 0;       // requests given up after the budget
 
-  // Component lifecycle (crash/restart injection). Crash history survives
-  // the endpoint: the driver keeps per-slot totals and stamps them into the
-  // next incarnation's counters at open_endpoint, so the report after a
-  // restart still shows the slot's full story.
+  // Component lifecycle (crash/restart injection). Like every counter here
+  // they belong to the driver's endpoint slot, not the endpoint object, so
+  // the report after a restart still shows the slot's full story.
   std::uint64_t lifecycle_crashes = 0;       // times this slot was killed
   std::uint64_t lifecycle_restarts = 0;      // times it came back
   std::uint64_t lifecycle_reclaimed_pages = 0;  // pins swept on those crashes

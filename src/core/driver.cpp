@@ -39,7 +39,7 @@ Endpoint& Driver::open_endpoint(mem::AddressSpace& as,
       ep.set_epoch(sl.epoch);
       if (sl.crashed) {
         sl.crashed = false;
-        ++sl.restarts;
+        ++sl.counters.lifecycle_restarts;
         if (relay_.active()) {
           obs::Event e;
           e.kind = obs::EventKind::kLifeRestart;
@@ -49,12 +49,6 @@ Endpoint& Driver::open_endpoint(mem::AddressSpace& as,
           relay_.emit(e);
         }
       }
-      // Crash history survives the endpoint object: the new incarnation's
-      // counters start from the slot's running totals.
-      Counters& c = ep.counters();
-      c.lifecycle_crashes = sl.crashes;
-      c.lifecycle_restarts = sl.restarts;
-      c.lifecycle_reclaimed_pages = sl.reclaimed_pages;
       return ep;
     }
   }
@@ -74,13 +68,9 @@ void Driver::note_crash(std::uint8_t id, std::uint64_t reclaimed,
                         std::uint64_t pinned_after, std::uint64_t baseline) {
   if (id >= slots_.size()) return;
   SlotLifecycle& sl = slots_[id];
-  ++sl.crashes;
-  sl.reclaimed_pages += reclaimed;
+  ++sl.counters.lifecycle_crashes;
+  sl.counters.lifecycle_reclaimed_pages += reclaimed;
   sl.crashed = true;
-  if (Endpoint* ep = endpoint(id); ep != nullptr) {
-    ++ep->counters().lifecycle_crashes;
-    ep->counters().lifecycle_reclaimed_pages += reclaimed;
-  }
   if (relay_.active()) {
     obs::Event e;
     e.kind = obs::EventKind::kLifeCrash;

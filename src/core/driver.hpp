@@ -81,6 +81,13 @@ class Driver {
     return id < slots_.size() ? slots_[id].epoch : 0;
   }
 
+  /// Counters of endpoint slot `id`. They outlive the endpoint object, so a
+  /// restarted endpoint's report still holds what its crashed incarnations
+  /// did.
+  [[nodiscard]] Counters& slot_counters(std::uint8_t id) {
+    return slots_.at(id).counters;
+  }
+
   /// Last incarnation learned for a remote (node, endpoint) — from the
   /// src_epoch of its frames and from watchdog announcements. 0 = unknown.
   [[nodiscard]] std::uint8_t peer_epoch(net::NodeId node,
@@ -101,14 +108,12 @@ class Driver {
 
  private:
   /// Per-slot state that must survive the endpoint object itself: the
-  /// incarnation number peers fence against, and crash-history totals the
-  /// next incarnation's counters are stamped from at open_endpoint.
+  /// incarnation number peers fence against, and the slot's counters, which
+  /// every incarnation of its endpoint counts into.
   struct SlotLifecycle {
     std::uint8_t epoch = 1;
     bool crashed = false;  // pending restart (set by note_crash)
-    std::uint64_t crashes = 0;
-    std::uint64_t restarts = 0;
-    std::uint64_t reclaimed_pages = 0;
+    Counters counters;
   };
 
   void on_frame(net::Frame&& frame);
@@ -146,8 +151,9 @@ class Driver {
   ioat::DmaEngine* dma_;
   StackConfig config_;
   obs::Relay relay_;
-  std::array<std::unique_ptr<Endpoint>, kMaxEndpoints> endpoints_;
+  // Before endpoints_: a closing endpoint still counts into its slot.
   std::array<SlotLifecycle, kMaxEndpoints> slots_;
+  std::array<std::unique_ptr<Endpoint>, kMaxEndpoints> endpoints_;
   sim::FlatMap<std::uint64_t, std::uint8_t> peer_epochs_;
   sim::FlatSet<std::uint64_t> closed_peer_slots_;  // announced 0 after nonzero
   sim::FlatSet<net::NodeId> dead_peers_;

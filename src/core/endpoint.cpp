@@ -47,6 +47,7 @@ Endpoint::Endpoint(Driver& driver, std::uint8_t id, mem::AddressSpace& as,
       id_(id),
       as_(as),
       process_core_(process_core),
+      counters_(driver.slot_counters(id)),
       pins_(driver.engine(), process_core, driver.cpu(),
             driver.config().pinning, counters_, &driver.relay()) {
   pins_.set_identity(driver.node(), id_);
@@ -623,19 +624,20 @@ bool Endpoint::take_posted(std::uint64_t match, RecvRequest& out) {
   return true;
 }
 
-Endpoint::SendRequest* Endpoint::send_to(std::uint32_t seq, net::NodeId,
-                                         std::uint8_t) {
+Endpoint::SendRequest* Endpoint::send_to(std::uint32_t seq, net::NodeId node,
+                                         std::uint8_t ep) {
   auto it = sends_.find(seq);
-  if (it == sends_.end()) {
+  if (it == sends_.end() || it->second->dest != EndpointAddr{node, ep}) {
     return nullptr;
   }
   return it->second.get();
 }
 
-Endpoint::PullState* Endpoint::pull_with(std::uint32_t handle, net::NodeId,
-                                         std::uint8_t) {
+Endpoint::PullState* Endpoint::pull_with(std::uint32_t handle,
+                                         net::NodeId node, std::uint8_t ep) {
   auto it = pulls_.find(handle);
-  if (it == pulls_.end()) {
+  if (it == pulls_.end() || it->second->peer_node != node ||
+      it->second->peer_ep != ep) {
     return nullptr;
   }
   return it->second.get();
@@ -1166,7 +1168,7 @@ void Endpoint::on_notify_ack(net::NodeId src, std::uint8_t src_ep,
   // Only a pull whose data completed sends NOTIFY, so only such a pull can
   // be acked; anything else is an ack for a freed handle, or a stray.
   if (PullState* ps = pull_with(body.handle, src, src_ep);
-      ps == nullptr) {
+      ps == nullptr || !ps->done) {
     ++counters_.duplicates_suppressed;
     return;
   }
@@ -1188,8 +1190,7 @@ void Endpoint::on_abort(net::NodeId src, std::uint8_t src_ep,
     return;
   }
   // Sender side: the receiver aborted our request.
-  if (auto it = sends_.find(body.seq); it != sends_.end() &&
-      it->second->dest == EndpointAddr{src, src_ep}) {
+  if (send_to(body.seq, src, src_ep) != nullptr) {
     fail_send(body.seq, /*send_abort=*/false);
   }
 }

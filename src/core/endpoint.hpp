@@ -320,7 +320,9 @@ class Endpoint {
   /// The pull serving (node, ep)'s send `seq`; at most one exists, since
   /// on_rndv suppresses duplicates.
   PullState* pull_from(net::NodeId node, std::uint8_t ep, std::uint32_t seq);
-  /// Send `seq` / pull `handle` named by a reply from (node, ep), or null.
+  /// Send `seq` / pull `handle`, only when (node, ep) is its peer: replies
+  /// are looked up through these, so a stale or stray frame that carries a
+  /// live seq or handle cannot complete, free or write someone else's.
   SendRequest* send_to(std::uint32_t seq, net::NodeId node, std::uint8_t ep);
   PullState* pull_with(std::uint32_t handle, net::NodeId node,
                        std::uint8_t ep);
@@ -428,7 +430,7 @@ class Endpoint {
   std::uint8_t epoch_ = 1;  // stamped by the driver at open
   mem::AddressSpace& as_;
   cpu::Core& process_core_;
-  Counters counters_;
+  Counters& counters_;  // the driver's slot counters, across incarnations
   PinManager pins_;
   std::unique_ptr<mem::MmuNotifier> notifier_;
 

@@ -7,6 +7,10 @@ namespace pinsim::cpu {
 Core::Core(sim::Engine& eng, std::string name)
     : eng_(eng), name_(std::move(name)) {}
 
+Core::~Core() {
+  if (running_) eng_.cancel(running_event_);
+}
+
 void Core::submit(Priority p, sim::Time duration, sim::UniqueFunction done) {
   queues_[static_cast<std::size_t>(p)].push_back(
       Job{duration, std::move(done)});
@@ -42,10 +46,10 @@ void Core::dispatch() {
     running_ = true;
     ++stats_.jobs[p];
     stats_.busy[p] += duration;
-    eng_.schedule_after(
+    running_event_ = eng_.schedule_after(
         duration,
-        // pinlint: allow(D7: the core is host hardware owned by Driver for
-        // the life of the engine; jobs never outlive the machine they run on)
+        // pinlint: allow(D7: ~Core cancels this event, so it never fires
+        // into a destroyed core)
         [this] { finish_job(); }, {"cpu", kPriorityLabel[p]});
     return;
   }

@@ -45,6 +45,10 @@ class Core {
   };
 
   Core(sim::Engine& eng, std::string name);
+  /// Cancels the running job's end event: a core torn down with its engine
+  /// still live (a host destroyed mid-simulation) leaves nothing behind to
+  /// fire into freed memory. Queued jobs die unrun.
+  ~Core();
 
   Core(const Core&) = delete;
   Core& operator=(const Core&) = delete;
@@ -88,6 +92,7 @@ class Core {
   /// slot suffices, and the engine event that ends the job captures only
   /// `this` (small enough to store inline, unlike the 80-byte `done`).
   sim::UniqueFunction running_done_;
+  sim::Engine::EventId running_event_{};  // ends the running job
   Stats stats_;
 };
 

@@ -361,5 +361,35 @@ TEST(NoPinMode, SurvivesSwapPressureMidStream) {
   EXPECT_GT(daemon_a.total_reclaimed() + daemon_b.total_reclaimed(), 0u);
 }
 
+// Tearing a host down unpins its cached regions, which charges work to its
+// cores. A destroyed core must take its pending job event with it, or an
+// engine that runs on dispatches into freed memory.
+TEST(Teardown, DestroyingHostsLeavesNoEngineWork) {
+  Rig rig(pinning_cache_config());
+  const std::size_t len = 256 * 1024;
+  const auto src = rig.pa->heap.malloc(len);
+  const auto dst = rig.pb->heap.malloc(len);
+  rig.pa->as.write(src, pattern(len, 5));
+  Status s_st, r_st;
+  sim::spawn(rig.eng, [](Library& lib, EndpointAddr to, mem::VirtAddr buf,
+                         std::size_t n, Status& out) -> sim::Task<> {
+    out = co_await lib.send(to, 0x61, buf, n);
+  }(rig.pa->lib, rig.pb->addr(), src, len, s_st));
+  sim::spawn(rig.eng, [](Library& lib, mem::VirtAddr buf, std::size_t n,
+                         Status& out) -> sim::Task<> {
+    out = co_await lib.recv(0x61, kAll, buf, n);
+  }(rig.pb->lib, dst, len, r_st));
+  rig.drain();
+  ASSERT_TRUE(s_st.ok);
+  ASSERT_TRUE(r_st.ok);
+  ASSERT_GT(rig.pa->lib.counters().pages_pinned, 0u);  // cached, still held
+
+  const std::size_t before = rig.eng.pending();
+  rig.b.reset();
+  rig.a.reset();
+  EXPECT_EQ(rig.eng.pending(), before);
+  EXPECT_EQ(rig.eng.run(), 0u);
+}
+
 }  // namespace
 }  // namespace pinsim::core

@@ -8,6 +8,8 @@
 
 #include "core/host.hpp"
 #include "core/wire.hpp"
+#include "event_log.hpp"
+#include "obs/bus.hpp"
 #include "sim/task.hpp"
 
 namespace pinsim::core {
@@ -26,14 +28,15 @@ struct Rig {
     pb = &b->spawn_process();
   }
 
-  /// Injects a raw frame into host B's NIC as if it came from host A.
-  void inject_to_b(const Packet& pkt) {
+  /// Injects a raw frame into `to`'s NIC as if it came from node `src`.
+  static void inject(Host& to, net::NodeId src, const Packet& pkt) {
     net::Frame f;
-    f.src = a->nic().node_id();
-    f.dst = b->nic().node_id();
+    f.src = src;
+    f.dst = to.nic().node_id();
     f.payload = encode(pkt);
-    b->nic().deliver(std::move(f));
+    to.nic().deliver(std::move(f));
   }
+  void inject_to_b(const Packet& pkt) { inject(*b, a->nic().node_id(), pkt); }
 
   void drain() {
     eng.run();
@@ -391,6 +394,208 @@ TEST(EndpointEdge, SixteenEndpointsPerDriverThenFull) {
   // Slots are reusable after close.
   EXPECT_NO_THROW(rig.b->driver().open_endpoint(rig.pb->as, rig.pb->core));
 }
+
+// --- one receive teardown --------------------------------------------------
+
+enum class AbortCause { kPinBeforeStart, kPinAfterStart, kStall, kSenderAbort,
+                        kPeerDeath };
+
+const char* cause_name(AbortCause c) {
+  switch (c) {
+    case AbortCause::kPinBeforeStart: return "PinFailsBeforeStart";
+    case AbortCause::kPinAfterStart: return "PinFailsAfterStart";
+    case AbortCause::kStall: return "StallBudget";
+    case AbortCause::kSenderAbort: return "SenderAbort";
+    case AbortCause::kPeerDeath: return "PeerDeath";
+  }
+  return "?";
+}
+
+// Every way a receive can die goes through one teardown: exactly one
+// kRecvAbort, one ok=false completion, one abort counted, nothing left in
+// flight, and an ABORT frame to the sender (ahead of kRecvAbort) only when
+// the receiver is the side that gave up.
+class RecvTeardown : public ::testing::TestWithParam<AbortCause> {};
+
+TEST_P(RecvTeardown, OneAbortOneCompletion) {
+  const AbortCause cause = GetParam();
+  StackConfig stack = cause == AbortCause::kPinAfterStart
+                          ? overlapped_cache_config()
+                          : pinning_cache_config();
+  stack.protocol.pull_stall_budget = 2;
+  Rig rig(stack);
+  net::FaultPlan silent;  // the sender's node never hears a thing
+  silent.loss = 1.0;
+  rig.fabric->faults().set_plan(silent);
+  testutil::EventLog log;
+  obs::Bus bus(rig.eng);
+  bus.attach(&log);
+  rig.b->driver().set_bus(&bus);
+
+  // The receive buffer: 128 KiB, wholly unmapped when pinning must fail
+  // before the pull starts, its upper half unmapped when it must fail
+  // after.
+  constexpr std::size_t kLen = 128 * 1024;
+  Endpoint& ep = rig.pb->ep;
+  const mem::VirtAddr buf = rig.pb->as.mmap(kLen);
+  if (cause == AbortCause::kPinBeforeStart) rig.pb->as.munmap(buf, kLen);
+  if (cause == AbortCause::kPinAfterStart) {
+    rig.pb->as.munmap(buf + kLen / 2, kLen / 2);
+  }
+  const RegionId region = ep.declare_region({Segment{buf, kLen}});
+  std::vector<Status> done;
+  ep.irecv(0x5, kAll, buf, kLen, region,
+           [&done](Status st) { done.push_back(st); });
+  const Counters before = ep.counters();
+
+  RndvBody rndv;
+  rndv.match = 0x5;
+  rndv.msg_len = kLen;
+  rndv.region = 9;  // the sender never serves it
+  rndv.seq = 3;
+  rig.inject_to_b(make_packet(rndv));
+  rig.eng.run_until(rig.eng.now() + 200 * sim::kMicrosecond);
+  const bool started = log.find_first(obs::EventKind::kPullBlockReq) !=
+                       testutil::EventLog::npos;
+  EXPECT_EQ(started, cause != AbortCause::kPinBeforeStart);
+  if (cause == AbortCause::kSenderAbort) {
+    rig.inject_to_b(make_packet(AbortBody{3}));
+  }
+  if (cause == AbortCause::kPeerDeath) {
+    ep.fail_requests_to(rig.a->nic().node_id());
+  }
+  rig.drain();
+  rig.b->driver().set_bus(nullptr);
+
+  std::size_t recv_aborts = 0;
+  std::size_t abort_at = testutil::EventLog::npos;
+  for (std::size_t i = 0; i < log.events().size(); ++i) {
+    if (log.events()[i].kind != obs::EventKind::kRecvAbort) continue;
+    ++recv_aborts;
+    abort_at = i;
+  }
+  EXPECT_EQ(recv_aborts, 1u);
+  const std::size_t abort_frame =
+      log.find_first(obs::EventKind::kPktTx, PacketType::kAbort);
+  const bool receiver_gave_up = cause != AbortCause::kSenderAbort &&
+                                cause != AbortCause::kPeerDeath;
+  if (receiver_gave_up) {
+    ASSERT_NE(abort_frame, testutil::EventLog::npos);
+    EXPECT_LT(abort_frame, abort_at);
+  } else {
+    EXPECT_EQ(abort_frame, testutil::EventLog::npos);
+  }
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_FALSE(done[0].ok);
+  EXPECT_EQ(done[0].peer_dead, cause == AbortCause::kPeerDeath);
+  EXPECT_EQ(ep.counters().aborts, before.aborts + 1);
+  EXPECT_EQ(ep.counters().retry_exhausted,
+            before.retry_exhausted + (cause == AbortCause::kStall ? 1 : 0));
+  EXPECT_EQ(ep.inflight(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Causes, RecvTeardown,
+    ::testing::Values(AbortCause::kPinBeforeStart, AbortCause::kPinAfterStart,
+                      AbortCause::kStall, AbortCause::kSenderAbort,
+                      AbortCause::kPeerDeath),
+    [](const ::testing::TestParamInfo<AbortCause>& info) {
+      return std::string(cause_name(info.param));
+    });
+
+// --- replies from the wrong peer --------------------------------------------
+
+// A reply carrying a live seq or handle but sent by a third endpoint (a
+// stale or stray frame; without a watchdog nothing fences it) must not
+// complete someone else's send, free someone else's pull, or write into
+// someone else's receive buffer.
+class ForgedReply : public ::testing::TestWithParam<PacketType> {};
+
+TEST_P(ForgedReply, FromAThirdEndpointIsSuppressed) {
+  const PacketType type = GetParam();
+  Rig rig;
+  net::FaultPlan silent;  // A and B never hear each other
+  silent.loss = 1.0;
+  rig.fabric->faults().set_plan(silent);
+  Host::Config hc;
+  hc.memory_frames = 4096;
+  Host c(rig.eng, *rig.fabric, hc, pinning_cache_config());
+  const net::NodeId third = c.nic().node_id();
+  constexpr std::size_t kLen = 64 * 1024;
+  bool completed = false;
+  const auto mark = [&completed](Status) { completed = true; };
+
+  if (type == PacketType::kEagerAck || type == PacketType::kNotify) {
+    // A live send from A to B.
+    Endpoint& ep = rig.pa->ep;
+    const mem::VirtAddr src = rig.pa->heap.malloc(kLen);
+    const std::uint32_t seq =
+        type == PacketType::kEagerAck
+            ? ep.isend_eager(rig.pb->addr(), 0x1, src, 64, mark)
+            : ep.isend_rndv(rig.pb->addr(), 0x1,
+                            ep.declare_region({Segment{src, kLen}}), kLen,
+                            mark);
+    rig.eng.run_until(rig.eng.now() + 50 * sim::kMicrosecond);
+    const Counters before = ep.counters();
+    if (type == PacketType::kEagerAck) {
+      Rig::inject(*rig.a, third, make_packet(EagerAckBody{seq}));
+    } else {
+      Rig::inject(*rig.a, third, make_packet(NotifyBody{seq, 1}));
+    }
+    rig.eng.run_until(rig.eng.now() + 50 * sim::kMicrosecond);
+    EXPECT_FALSE(completed);
+    EXPECT_EQ(ep.inflight(), 1u);
+    EXPECT_EQ(ep.counters().duplicates_suppressed,
+              before.duplicates_suppressed + 1);
+    return;
+  }
+
+  // A live pull on B of a rendezvous from A, its region pinned.
+  Endpoint& ep = rig.pb->ep;
+  const mem::VirtAddr dst = rig.pb->heap.malloc(kLen);
+  const std::vector<std::byte> zeros(kLen, std::byte{0});
+  rig.pb->as.write(dst, zeros);
+  ep.irecv(0x2, kAll, dst, kLen, ep.declare_region({Segment{dst, kLen}}),
+           mark);
+  RndvBody rndv;
+  rndv.match = 0x2;
+  rndv.msg_len = kLen;
+  rndv.region = 9;
+  rndv.seq = 4;
+  rig.inject_to_b(make_packet(rndv));
+  rig.eng.run_until(rig.eng.now() + 200 * sim::kMicrosecond);
+  ASSERT_GT(ep.counters().pulls_sent, 0u);
+  const Counters before = ep.counters();
+  if (type == PacketType::kNotifyAck) {
+    Rig::inject(*rig.b, third, make_packet(NotifyAckBody{1}));
+    // Even the right peer cannot free a pull whose data is not all in.
+    rig.inject_to_b(make_packet(NotifyAckBody{1}));
+  } else {
+    PullReplyBody reply;
+    reply.handle = 1;
+    reply.offset = 0;
+    reply.data.assign(pinning_cache_config().protocol.frame_payload,
+                      std::byte{0xee});
+    Rig::inject(*rig.b, third, make_packet(std::move(reply)));
+  }
+  rig.eng.run_until(rig.eng.now() + 50 * sim::kMicrosecond);
+  EXPECT_FALSE(completed);
+  EXPECT_EQ(ep.inflight(), 1u);
+  EXPECT_EQ(ep.counters().duplicates_suppressed,
+            before.duplicates_suppressed +
+                (type == PacketType::kNotifyAck ? 2 : 1));
+  std::vector<std::byte> got(kLen);
+  rig.pb->as.read(dst, got);
+  EXPECT_EQ(got, zeros);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Replies, ForgedReply,
+    ::testing::Values(PacketType::kEagerAck, PacketType::kNotify,
+                      PacketType::kNotifyAck, PacketType::kPullReply),
+    [](const ::testing::TestParamInfo<PacketType>& info) {
+      return std::string(packet_type_name(info.param));
+    });
 
 }  // namespace
 }  // namespace pinsim::core

@@ -90,6 +90,20 @@ TEST(Core, ZeroDurationJobStillQueues) {
   EXPECT_TRUE(ran);
 }
 
+TEST(Core, DestroyingABusyCoreCancelsItsJob) {
+  sim::Engine eng;
+  bool ran = false;
+  {
+    Core core(eng, "cpu0");
+    core.submit(Priority::kKernel, 100, [&] { ran = true; });
+    core.submit(Priority::kKernel, 100, [&] { ran = true; });
+    EXPECT_EQ(eng.pending(), 1u);
+  }
+  EXPECT_EQ(eng.pending(), 0u);
+  EXPECT_EQ(eng.run(), 0u);
+  EXPECT_FALSE(ran);
+}
+
 TEST(Core, CompletionMaySubmitFollowUpWork) {
   sim::Engine eng;
   Core core(eng, "cpu0");
